@@ -34,6 +34,9 @@ class ShardingPlan:
     tp_degree: int = 1
     name: str = ""
     zero_stage: int = 0
+    #: name → pattern map, built once: routing and the verifier look up
+    #: every node, so a copy per lookup would make their walks O(n²)
+    _lookup: Dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tp_degree < 1:
@@ -42,6 +45,7 @@ class ShardingPlan:
             raise ValueError(
                 f"zero_stage must be 0, 1 or 2, got {self.zero_stage!r}"
             )
+        object.__setattr__(self, "_lookup", dict(self.assignment))
 
     @staticmethod
     def of(
@@ -59,7 +63,7 @@ class ShardingPlan:
         return dict(self.assignment)
 
     def pattern_for(self, node_name: str) -> str:
-        return self.as_dict.get(node_name, "replicate")
+        return self._lookup.get(node_name, "replicate")
 
     @property
     def num_sharded(self) -> int:

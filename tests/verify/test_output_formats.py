@@ -108,3 +108,4 @@ class TestCLIFormats:
         assert main(["verify", "analyze"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
+        assert "0 new finding(s)" in out
