@@ -49,7 +49,7 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def bench_metadata(engine: str = "engine") -> dict:
+def bench_metadata(engine: str = "columnar") -> dict:
     """Provenance stamped into every ``BENCH_*.json``.
 
     A bench number without its SHA, tier and timestamp cannot be compared
@@ -63,7 +63,7 @@ def bench_metadata(engine: str = "engine") -> dict:
     }
 
 
-def emit_bench_json(name: str, records: list, engine: str = "engine") -> None:
+def emit_bench_json(name: str, records: list, engine: str = "columnar") -> None:
     """Write ``BENCH_<name>.json`` at the repo root.
 
     The machine-readable companion to :func:`emit`: a ``meta`` block

@@ -206,12 +206,13 @@ def _intra_op_pass(
     re-routing them, but the complexity counters are charged as if it had
     not (the recorded choice count is added on a hit), so Table 2 / fig. 9
     still measure the algorithm's no-pruning growth.  Within one stage,
-    candidates are priced through the incremental
-    :class:`~repro.core.evaluate.BlockEvaluator` — bit-identical costs to
-    ``plan_cost(route_plan(...))`` without re-walking the stage prefix per
-    option — again a wall-clock change only.
+    each weight node's options are priced in one batch through
+    :meth:`~repro.core.columnar.ColumnarEvaluator.price_batch` —
+    bit-identical costs to ``plan_cost(route_plan(...))`` without a
+    Python walk of the stage per option — again a wall-clock change only.
     """
-    from ..core.evaluate import BlockEvaluator, EVAL_VALID
+    from ..core.columnar import ColumnarEvaluator
+    from ..core.evaluate import EVAL_VALID
     from ..core.patterns import DEFAULT_REGISTRY
 
     if devices_per_stage <= 1:
@@ -232,33 +233,24 @@ def _intra_op_pass(
             return sharded
     choices_before = result.intra_choices_evaluated
     block = node_graph.subgraph(stage_nodes, name="stage")
-    evaluator = BlockEvaluator(block, DEFAULT_REGISTRY, tp, cm)
-    pos = evaluator.pos
-    prev_changed: Optional[int] = None
-    sharded = 0
-    for n in stage_nodes:
-        node = block.node(n)
-        if not node.weights:
-            continue
-        options = [p.name for p in DEFAULT_REGISTRY.options(node, tp)]
-        best_name, best_cost = "replicate", float("inf")
-        p_n = pos[n]
-        for option in options:
-            result.intra_choices_evaluated += 1
-            # consecutive candidates differ at the previously sharded node
-            # (back to replicate) and at this one
-            hint = p_n if prev_changed is None else min(prev_changed, p_n)
-            status, cost = evaluator.evaluate(
-                {n: option}, start_hint=hint, incumbent=best_cost
-            )
-            prev_changed = p_n
-            if status != EVAL_VALID:
-                continue
-            if cost < best_cost:
-                best_cost = cost
-                best_name = option
-        if best_name != "replicate":
-            sharded += 1
+    evaluator = ColumnarEvaluator(block, DEFAULT_REGISTRY, tp, cm)
+    # One row per (weight node, option): only that node is sharded in its
+    # candidate, so every row of the stage prices in one batch.  The batch
+    # has no incumbent, which changes no choice: an option the bound would
+    # abandon costs more than the node's best so far anyway.
+    trials = [
+        (n, p.name)
+        for n in stage_nodes
+        if block.node(n).weights
+        for p in DEFAULT_REGISTRY.options(block.node(n), tp)
+    ]
+    result.intra_choices_evaluated += len(trials)
+    outcomes = evaluator.price_batch({}, [{n: o} for n, o in trials])
+    best: Dict[str, Tuple[str, float]] = {}
+    for (n, option), (status, cost) in zip(trials, outcomes):
+        if status == EVAL_VALID and cost < best.get(n, ("", float("inf")))[1]:
+            best[n] = (option, cost)
+    sharded = sum(1 for name, _ in best.values() if name != "replicate")
     if key is not None:
         stage_cache[key] = (
             sharded, result.intra_choices_evaluated - choices_before

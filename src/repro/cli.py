@@ -4,7 +4,9 @@ Commands
 --------
 ``plan``
     Derive a plan for a zoo preset on a mesh, print it (and the Fig. 14
-    rendering), optionally save it as JSON.
+    rendering), optionally save it as JSON.  ``--engine
+    {reference,columnar}`` picks the search tier (columnar by default;
+    both select the same plan).
 ``models``
     List the model zoo presets with their sizes.
 ``inspect``
@@ -228,8 +230,7 @@ def _run_plan(args, trimmed, trim_record, ng, mesh, cfg, chrome) -> int:
     print(f"searched {result.candidates_examined} candidates "
           f"({result.valid_plans} valid) in {result.search_seconds:.2f}s")
     if tier != "reference":
-        noun = "columns compiled" if tier == "columnar" else "node evaluations"
-        print(f"{tier}: {result.evaluations} {noun}, "
+        print(f"{tier}: {result.evaluations} columns compiled, "
               f"{result.cache_hits} cache hits, "
               f"{result.bound_skipped} candidates bound-skipped")
     print(f"best: {result.plan.describe()}")
@@ -564,11 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="threads for independent family x TP-degree "
                         "searches (0 = auto-detect cpu count)")
-    p.add_argument("--engine", choices=("engine", "reference", "columnar"),
-                   default="engine",
-                   help="evaluation tier: the memoized engine (default), "
-                        "the reference per-candidate loop, or the "
-                        "vectorized columnar core")
+    p.add_argument("--engine", choices=("reference", "columnar"),
+                   default="columnar",
+                   help="search tier: the vectorized columnar core "
+                        "(default) or the reference per-candidate loop")
     p.add_argument("--no-engine", action="store_true",
                    help="alias for --engine reference (kept for "
                         "compatibility)")

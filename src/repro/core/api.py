@@ -115,7 +115,7 @@ def plan_request(
     tp_degrees: Optional[Sequence[int]] = None,
     use_pruning: bool = True,
     max_plans_per_block: int = 50_000,
-    engine=True,
+    engine: str = "columnar",
     jobs: int = 1,
     zero_stage: int = 0,
     registry: PatternRegistry = DEFAULT_REGISTRY,

@@ -1,12 +1,11 @@
-"""Columnar search core — the ``engine="columnar"`` evaluation tier.
+"""Columnar search core — the ``engine="columnar"`` search tier (the default).
 
-The candidate-evaluation engine (:mod:`repro.core.evaluate`) removed the
-*repetition* from the per-block sweep but kept its shape: a Python loop
-over nodes per candidate.  On graphs with tens of thousands of nodes that
-inner loop is the floor on search time.  This module removes the loop
-itself: a block is compiled **once** into a flat struct-of-arrays form and
-whole chunks of candidates are then routed and priced as batched numpy
-array operations.
+The reference sweep (:mod:`repro.core.evaluate`) routes and prices every
+candidate with a Python loop over nodes.  On graphs with tens of
+thousands of nodes that inner loop is the floor on search time.  This
+module removes the loop itself: a block is compiled **once** into a flat
+struct-of-arrays form and whole chunks of candidates are then routed and
+priced as batched numpy array operations.
 
 Array layout (one compile per ``(block, registry)``, cached on the block):
 
@@ -27,25 +26,30 @@ Array layout (one compile per ``(block, registry)``, cached on the block):
   collective pricing are all table gathers + segmented cumulative sums.
 * **Prefix slots** — each node owns a fixed span of forward/backward cost
   slots (its in-edges, then its pattern-comm budget).  A row-wise
-  ``cumsum`` over the slot matrix replays the engine's exact left-fold
-  float-accumulation order (padding slots add ``+0.0``, which is exact),
-  so per-node partial costs — the admissible branch-and-bound values —
-  come out bit-identical to the engine's accumulators.
+  ``cumsum`` over the slot matrix replays :meth:`CostModel.estimate`'s
+  exact left-fold float-accumulation order (padding slots add ``+0.0``,
+  which is exact), so per-node partial costs — the admissible
+  branch-and-bound values — are the very prefix sums a node-by-node walk
+  accumulates.
 
 Bound interaction: partial-cost rows are non-decreasing (every term is a
-non-negative IEEE float), so the engine's "first node whose partial
-strictly exceeds the incumbent" is one ``searchsorted`` per candidate.
+non-negative IEEE float), so "the first node whose partial strictly
+exceeds the incumbent" is one ``searchsorted`` per candidate.  The walk
+that bound abandons is the node-ordered one: a candidate is invalid when
+an invalid weight node comes at or before its bound node, and nodes
+before the resume position (the first node changed since the previous
+candidate) are never re-checked against a tightened incumbent.
 Classification (invalid-before-bound, resume hints, incumbent updates)
-stays sequential per candidate to preserve the engine's exact first-wins
-semantics; everything per-*node* is vectorized.
+stays sequential per candidate to preserve exact first-wins semantics;
+everything per-*node* is vectorized.
 
 Compiled tables are cached by *value* — ``(tp, mesh, cost config)`` are
 all frozen dataclasses — so repeat derives over the same graph skip the
 compile entirely and pay only the sweep.
 
-Determinism is the same contract the engine honours: plans, costs and
-candidate counts are bit-identical to both ``engine=True`` and
-``engine=False`` across every block and TP degree.
+Determinism is the contract: plans, costs and candidate counts are
+bit-identical to the ``engine="reference"`` oracle across every block and
+TP degree.
 """
 
 from __future__ import annotations
@@ -488,7 +492,7 @@ class _Degree:
         # --- follow-node compute times -----------------------------------
         # A follow node's t_fwd takes exactly two values: compute_share is
         # 1/tp when its layout lands in D/S and 1.0 in R/P, priced through
-        # the same route_node + shard_terms path the engine uses — once
+        # the same route_node + shard_terms path the reference uses — once
         # per node class, then gathered out to node positions.
         ts_by_class = np.zeros(sk.nclass, dtype=np.float64)
         tf_by_class = np.zeros(sk.nclass, dtype=np.float64)
@@ -513,7 +517,7 @@ class _Degree:
 
         # --- edge collective price table ---------------------------------
         # One row per unique producer spec, one column per collective code;
-        # the floats are the very lru-cached values the engine prices with.
+        # the floats are the very lru-cached values the reference prices with.
         u = max(len(sk.uspecs), 1)
         ep = np.zeros((u, 5), dtype=np.float64)
         for jj, spec in enumerate(sk.uspecs):
@@ -547,8 +551,8 @@ def _weight_column(
     Feeding ``route_node`` all-D input layouts with ``None`` input specs
     makes every inbound hop a no-op (free or skipped before claiming) —
     except a required-P pattern with real inputs, which raises exactly
-    when the engine would reject the node — while the appended real first
-    input spec still reaches ``_apply_pattern_effects`` for the
+    when a full routing would reject the node — while the appended real
+    first input spec still reaches ``_apply_pattern_effects`` for the
     pattern-comm pricing, because the spec search scans the full list.
     """
     k = len(node.inputs)
@@ -627,14 +631,16 @@ class _Arrays:
 
 
 class ColumnarEvaluator:
-    """Array-backed drop-in for :class:`BlockEvaluator`.
+    """Route and price candidates of one ``(block, tp_degree)`` search.
 
-    Same constructor signature, same :meth:`price` contract (status, cost),
-    same resume-hint and branch-and-bound semantics — but evaluation is a
-    batch of table gathers and row-wise cumulative sums instead of a
-    per-node Python walk.  ``evaluations`` counts columns compiled by this
-    construction (0 when the block's compile was already cached);
-    ``cache_hits`` counts candidate rows answered from the compiled tables.
+    :meth:`price` returns ``(status, cost)`` for one assignment,
+    :meth:`price_batch` for many at once; the cost is the float
+    ``plan_cost(route_plan(...))`` gives for the same candidate.
+    Evaluation is a batch of table gathers and row-wise cumulative sums
+    instead of a per-node Python walk.  ``evaluations`` counts columns
+    compiled by this construction (0 when the block's compile was already
+    cached); ``cache_hits`` counts candidate rows answered from the
+    compiled tables.
     """
 
     def __init__(
@@ -670,6 +676,12 @@ class ColumnarEvaluator:
         self.cache_hits = 0
 
     # ------------------------------------------------------------------
+    def chunk_rows(self) -> int:
+        """Rows per :meth:`_compute` call: ~2M cells per per-node array."""
+        sk = self._sk
+        width = max(sk.n, sk.m, sk.SF + 1, sk.SB + 1, 1)
+        return max(16, min(1024, 2_000_000 // width))
+
     def _vec_for(self, assignment: Dict[str, str]) -> np.ndarray:
         vec = self._deg.replicate_cols.copy()
         for name, pat in assignment.items():
@@ -742,7 +754,7 @@ class ColumnarEvaluator:
         FE = np.cumsum(FW, axis=1)[:, sk.fcols]
         BE = np.cumsum(BWm, axis=1)[:, sk.bcols]
 
-        # the engine's per-node partial: non-decreasing, bit-exact
+        # the walk's per-node partial: non-decreasing, bit-exact
         p = FE + BE
         if self._bound_time:
             p = (fc + bc) + p
@@ -768,12 +780,12 @@ class ColumnarEvaluator:
         incumbent: float,
         bp: Optional[int] = None,
     ) -> Tuple[int, Optional[float]]:
-        """Replay the engine's walk outcome for row ``t``.
+        """Classify row ``t`` as the node-ordered walk would end.
 
         Invalid-before-bound at the same node, the resume-hint clamp of
         the bound (nodes before ``start`` are never re-checked against a
-        tightened incumbent) and the committed-prefix bookkeeping all
-        mirror :meth:`BlockEvaluator.evaluate` exactly.  ``bp`` lets the
+        tightened incumbent) and the committed-prefix bookkeeping follow
+        the module docstring's walk semantics.  ``bp`` lets the
         caller supply a precomputed bound position (the count of partials
         ``<= incumbent``, equal to the right-bisect the scalar path runs).
         """
@@ -797,27 +809,34 @@ class ColumnarEvaluator:
         return EVAL_VALID, self._finalize(arrays, t)
 
     def _finalize(self, arrays: _Arrays, t: int) -> float:
-        """Statement-for-statement mirror of ``BlockEvaluator._finalize``."""
+        """The candidate's scalar cost — the float :meth:`CostModel.plan_cost`
+        computes for a fresh routing of it."""
         d = self._deg
         cfg = self.cost_model.config
         n = self._sk.n
+        # Packing + pricing the gradient streams is the one O(n) piece of
+        # finalisation; candidates that shard the same weights produce the
+        # same streams, so the packed time is memoized on their content.
+        # The key is the streams' raw int64 bytes: compact to retain and
+        # cheap to hash; Python ints are built only on a miss.
         if self._sk.nw:
             optrow = arrays.optmat[t]
             gbr = d.GB[optrow]
             gaxr = d.GAX[optrow]
-            gkey = (
-                tuple(gbr[gaxr == 0].tolist()),
-                tuple(gbr[gaxr == 1].tolist()),
-            )
+            dp_stream, all_stream = gbr[gaxr == 0], gbr[gaxr == 1]
         else:
-            gkey = ((), ())
+            dp_stream = all_stream = np.zeros(0, dtype=np.int64)
+        gkey = (dp_stream.tobytes(), all_stream.tobytes())
         cached = d.grad_time_cache.get(gkey)
         if cached is None:
+            streams = (
+                ("dp", dp_stream.tolist()), ("all", all_stream.tolist())
+            )
             grad_collective = (
                 "reduce_scatter" if self.zero >= 1 else "all_reduce"
             )
             grad_time = 0.0
-            for axis, stream in (("dp", gkey[0]), ("all", gkey[1])):
+            for axis, stream in streams:
                 buckets = pack_gradients(stream, cfg.packing)
                 grad_time += sum(
                     collective_time(
@@ -830,7 +849,7 @@ class ColumnarEvaluator:
                 )
             gather_time = 0.0
             if self.zero >= 1:
-                for axis, stream in (("dp", gkey[0]), ("all", gkey[1])):
+                for axis, stream in streams:
                     gather_time += sum(
                         collective_time(
                             "all_gather",
@@ -863,10 +882,10 @@ class ColumnarEvaluator:
     def price(
         self, assignment: Dict[str, str], incumbent: float = float("inf")
     ) -> Tuple[int, Optional[float]]:
-        """Single-candidate evaluation with the same diff-derived resume
-        hint :meth:`BlockEvaluator.price` computes.  The candidate vector
-        is maintained incrementally: only the diffed names are re-mapped
-        to columns."""
+        """Single-candidate evaluation.  The resume hint is the first node
+        whose pattern differs from the previous :meth:`price` call's
+        assignment, and the candidate vector is maintained incrementally:
+        only the diffed names are re-mapped to columns."""
         last = self._last_assignment
         if last is None or self._vec is None:
             hint: Optional[int] = None
@@ -907,7 +926,8 @@ class ColumnarEvaluator:
         with no incumbent the bound never fires and the resume hint only
         clamps bound re-checks, so each row's status and cost are
         independent of evaluation order.  Rows still classify
-        sequentially (committed-prefix bookkeeping, ``cache_hits``).
+        sequentially (committed-prefix bookkeeping, ``cache_hits``), and
+        are computed :meth:`chunk_rows` at a time to bound memory.
         """
         if not variants:
             return []
@@ -918,12 +938,15 @@ class ColumnarEvaluator:
                 j = self.wpos.get(nm)
                 if j is not None:
                     rows[t, j] = self._deg.colmap[j].get(pat, 0)
-        arrays = self._compute(rows)
-        # no incumbent => the bound position is always past the last node
-        results = [
-            self._classify(arrays, t, None, float("inf"), bp=self._sk.n)
-            for t in range(len(variants))
-        ]
+        results: List[Tuple[int, Optional[float]]] = []
+        chunk = self.chunk_rows()
+        for lo in range(0, len(variants), chunk):
+            arrays = self._compute(rows[lo : lo + chunk])
+            # no incumbent => the bound position is always past the last node
+            results.extend(
+                self._classify(arrays, t, None, float("inf"), bp=self._sk.n)
+                for t in range(arrays.p.shape[0])
+            )
         self._last_assignment = {**base, **variants[-1]}
         self._vec = rows[len(variants) - 1].copy()
         return results
@@ -947,7 +970,7 @@ def columnar_block_search(
     Each flush computes every per-node quantity for the whole chunk at
     once and then classifies rows *sequentially in enumeration order*, so
     incumbent updates, bound decisions and first-wins selection are
-    identical to the per-candidate engine sweep.
+    those of a per-candidate sweep in the same order.
     """
     out = BlockSearchOutcome()
     ev = ColumnarEvaluator(block, registry, tp_degree, cost_model, zero_stage)
@@ -975,8 +998,7 @@ def columnar_block_search(
         ]
         for js, (_names, options) in zip(group_js, groups)
     ]
-    width = max(sk.n, sk.m, sk.SF + 1, sk.SB + 1, 1)
-    chunk = max(16, min(1024, 2_000_000 // width))
+    chunk = ev.chunk_rows()
     vec = d.replicate_cols.copy()
     optbuf = np.empty((chunk, sk.nw), dtype=np.int64)
     meta: List[Tuple[Optional[Tuple[int, ...]], Optional[int]]] = []

@@ -1,12 +1,16 @@
-"""Candidate-evaluation engine for Algorithm 2's per-block search.
+"""Candidate enumeration and tier selection for Algorithm 2's block search.
 
 The naive search routes and prices every candidate from scratch: for a
 transformer block that is 729 full walks of Algorithm 3 plus 729 full cost
-estimates, per family, per TP degree.  Almost all of that work is repeated
-— consecutive candidates share most of their assignment, identical shards
-are re-priced thousands of times, and most candidates are provably worse
-than the incumbent long before their walk finishes.  This module removes
-the repetition without changing a single answer:
+estimates, per family, per TP degree.  Two tiers sweep the same candidates:
+
+* ``"reference"`` — a fresh :func:`route_plan` + :meth:`CostModel.plan_cost`
+  per candidate: the oracle every fast path is checked against.
+* ``"columnar"`` (:mod:`repro.core.columnar`, the default) — the block is
+  compiled once into flat arrays and whole chunks of candidates are routed
+  and priced as batched numpy operations, with branch-and-bound.
+
+Both consume this module's enumeration:
 
 * **Gray-code enumeration** (:func:`iter_gray_plans`) — candidates are
   emitted in mixed-radix reflected Gray order (Knuth 7.2.1.1, loopless
@@ -14,28 +18,16 @@ the repetition without changing a single answer:
   group.  The fastest-changing digit is mapped to the topologically *last*
   group, maximising the routed prefix two neighbours share.
 
-* **Incremental fused route+price** (:class:`BlockEvaluator`) — the
-  evaluator keeps the committed walk of the previous candidate (shards,
-  layouts, conversion claims, cumulative cost accumulators per topological
-  position) and, on the next candidate, rolls back only to the first
-  changed position.  Node outcomes are additionally memoized on
-  ``(position, pattern, input layouts, pre-claimed conversions)`` so a
-  revisited state re-routes nothing at all, with a second name-free level
-  keyed on the node's structural signature — the 24 instances of a
-  repeated transformer layer (or the q/k/v projections inside one) route
-  once and replay everywhere else.
-
 * **Branch-and-bound** — communication terms are non-negative and IEEE
   addition of non-negative values is monotone, so the running partial cost
   is an admissible lower bound on the final cost.  A candidate whose
   partial already *exceeds* the incumbent strictly cannot win under the
   search's strict ``<`` tie-breaking and is abandoned mid-walk.
 
-Determinism is the design constraint: the engine and the naive path share
-the same enumeration order, execute the same :func:`route_node` code, and
-replay the exact per-event float-accumulation order of
-:meth:`CostModel.estimate`, so the selected assignment and its cost are
-bit-identical with the engine on or off.
+Determinism is the design constraint: both tiers walk the same
+enumeration order and replay the exact per-event float-accumulation order
+of :meth:`CostModel.estimate`, so the selected assignment and its cost are
+bit-identical whichever tier runs.
 """
 
 from __future__ import annotations
@@ -43,32 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..cluster import collective_time
 from ..obs import metrics, trace
-from .cost import (
-    CostModel,
-    TERM_BWD_TP_COMM,
-    TERM_FWD_COMM,
-    TERM_GRAD_DP,
-)
+from .cost import CostModel
 from .graphnode import NodeGraph
-from .packing import pack_gradients
-from .patterns import Layout, PatternRegistry, ShardingPattern
+from .patterns import PatternRegistry
 from .plan import ShardingPlan
-from .routing import (
-    FEATURE_AXIS_OPS,
-    RoutingError,
-    follow_required,
-    resolve_pattern,
-    route_node,
-    route_plan,
-)
+from .routing import RoutingError, route_plan
 
 __all__ = [
     "EVAL_VALID",
     "EVAL_INVALID",
     "EVAL_BOUNDED",
-    "BlockEvaluator",
     "BlockSearchOutcome",
     "decision_groups",
     "iter_gray_digits",
@@ -77,35 +54,23 @@ __all__ = [
     "search_block_candidates",
 ]
 
-#: The selectable evaluation tiers, cheapest-per-candidate first.
-ENGINE_TIERS = ("reference", "engine", "columnar")
+#: The selectable search tiers: the oracle, then the fast path.
+ENGINE_TIERS = ("reference", "columnar")
 
 
 def normalize_engine(engine) -> str:
-    """Map the ``engine=`` knob onto a tier name.
+    """Check the ``engine=`` knob names a search tier and return it."""
+    if engine not in ENGINE_TIERS:
+        raise ValueError(
+            f"engine must be one of {ENGINE_TIERS}, got {engine!r}"
+        )
+    return engine
 
-    ``True``/``False`` keep their original meaning (the memoized engine /
-    the reference per-candidate loop); the strings ``"engine"``,
-    ``"reference"`` and ``"columnar"`` name the tiers directly.
-    """
-    if engine is True:
-        return "engine"
-    if engine is False:
-        return "reference"
-    if engine in ENGINE_TIERS:
-        return engine
-    raise ValueError(
-        f"engine must be True, False, or one of {ENGINE_TIERS}, got {engine!r}"
-    )
 
-#: Outcome of one :meth:`BlockEvaluator.evaluate` call.
+#: Outcome of one :meth:`ColumnarEvaluator.price` classification.
 EVAL_VALID = 0
 EVAL_INVALID = 1
 EVAL_BOUNDED = 2
-
-#: Node-cache sentinel: this (position, pattern, layouts, claims) state is
-#: known to make the plan invalid.
-_INVALID = object()
 
 
 def decision_groups(
@@ -228,371 +193,6 @@ def iter_gray_plans(
         yield dict(assignment), changed
 
 
-class BlockEvaluator:
-    """Fused incremental routing + pricing of block candidates.
-
-    One evaluator serves one ``(block, tp_degree)`` search.  Between
-    candidates it keeps the committed walk — per topological position, the
-    routed shard, its conversion claims, and the cumulative cost
-    accumulators *after* that position — and rolls back only to the first
-    position the new candidate changes.  The commit arrays double as exact
-    prefix snapshots: accumulator ``[i]`` holds the value after the same
-    sequence of float additions :meth:`CostModel.estimate` performs over
-    the first ``i`` nodes, which is what makes the bound admissible and the
-    final cost bit-identical to a fresh estimate.
-    """
-
-    def __init__(
-        self,
-        block: NodeGraph,
-        registry: PatternRegistry,
-        tp_degree: int,
-        cost_model: CostModel,
-        zero_stage: int = 0,
-    ) -> None:
-        self.block = block
-        self.registry = registry
-        self.tp = tp_degree
-        self.cost_model = cost_model
-        self.zero = zero_stage
-        cfg = cost_model.config
-        tp_group, dp_group, all_group = cost_model.groups(tp_degree)
-        self.groups = {"tp": tp_group, "dp": dp_group, "all": all_group}
-        self.tokens = max(
-            cfg.batch_tokens // cost_model.dp_degree(tp_degree), 1
-        )
-        self.order = block.topo_order()
-        self.pos = {name: i for i, name in enumerate(self.order)}
-        self.nodes = [block.node(name) for name in self.order]
-        self._input_specs = [
-            [block.node(src).output_spec for src in node.inputs]
-            for node in self.nodes
-        ]
-        self._feature_axis = [
-            any(op.op_type in FEATURE_AXIS_OPS for op in node.ops)
-            for node in self.nodes
-        ]
-        self._leaves = [leaf.name for leaf in block.leaves()]
-        # Name-free structural identity per node: every field routing and
-        # pricing read (op types/shapes/dtypes/flops *in execution order*,
-        # plus the producers' output specs).  Nodes sharing it — the 24
-        # instances of a repeated layer, or q/k/v projections inside one —
-        # route and price identically under the same (pattern, layouts,
-        # claimed) state, so their outcomes share one struct-cache entry.
-        self._struct_sig = [
-            (
-                tuple(
-                    (
-                        op.op_type,
-                        (op.output.shape, op.output.dtype)
-                        if op.output is not None
-                        else None,
-                        (op.weight.shape, op.weight.dtype)
-                        if op.weight is not None
-                        else None,
-                        op.trainable,
-                        op.flops,
-                    )
-                    for op in node.ops
-                ),
-                tuple(
-                    (s.shape, s.dtype) if s is not None else None
-                    for s in self._input_specs[i]
-                ),
-            )
-            for i, node in enumerate(self.nodes)
-        ]
-        n = len(self.order)
-        #: positions [0, committed) hold the previous candidate's walk
-        self.committed = 0
-        self._node_claims: List[Tuple[Tuple[Tuple[str, str], str], ...]] = [
-            ()
-        ] * n
-        self._layouts: Dict[str, str] = {}
-        self._conversions: Dict[Tuple[str, str], str] = {}
-        self._fwd_compute = [0.0] * (n + 1)
-        self._bwd_compute = [0.0] * (n + 1)
-        self._fwd_comm = [0.0] * (n + 1)
-        self._bwd_tp_comm = [0.0] * (n + 1)
-        self._dp_len = [0] * (n + 1)
-        self._all_len = [0] * (n + 1)
-        self._grad_dp: List[int] = []
-        self._grad_all: List[int] = []
-        self._pattern_cache: Dict[Tuple[int, str], ShardingPattern] = {}
-        self._node_cache: Dict[Tuple, object] = {}
-        self._struct_cache: Dict[Tuple, object] = {}
-        #: gradient-stream content -> (sync time, weight-gather time)
-        self._grad_time_cache: Dict[Tuple, Tuple[float, float]] = {}
-        self._has_weights = [bool(node.weights) for node in self.nodes]
-        self._last_assignment: Optional[Dict[str, str]] = None
-        #: node routings actually executed (cache misses)
-        self.evaluations = 0
-        #: node routings answered from the memo table
-        self.cache_hits = 0
-
-    # ------------------------------------------------------------------
-    def _rollback(self, to: int) -> None:
-        """Un-commit positions [to, committed): claims and gradient tails."""
-        for i in range(to, self.committed):
-            for key, _ in self._node_claims[i]:
-                del self._conversions[key]
-        del self._grad_dp[self._dp_len[to]:]
-        del self._grad_all[self._all_len[to]:]
-        self.committed = to
-
-    def _resolved(self, i: int, pattern_name: str) -> ShardingPattern:
-        key = (i, pattern_name)
-        pattern = self._pattern_cache.get(key)
-        if pattern is None:
-            pattern = resolve_pattern(
-                self.nodes[i], pattern_name, self.registry, self.tp
-            )
-            self._pattern_cache[key] = pattern
-        return pattern
-
-    # ------------------------------------------------------------------
-    def price(
-        self, assignment: Dict[str, str], incumbent: float = float("inf")
-    ) -> Tuple[int, Optional[float]]:
-        """:meth:`evaluate` with the resume position derived by diffing
-        *assignment* against the previous :meth:`price` call's.
-
-        Use either ``price`` or ``evaluate`` on one instance, not both:
-        callers that already know the single changed group (the Gray-order
-        sweep) pass the position to ``evaluate`` directly, while callers
-        making arbitrary moves (coordinate descent, final assembly) let
-        ``price`` find the first changed node.
-        """
-        last = self._last_assignment
-        if last is None:
-            start: Optional[int] = None
-        else:
-            start = min(
-                (
-                    self.pos[n]
-                    for n in set(last) | set(assignment)
-                    if n in self.pos
-                    and last.get(n, "replicate")
-                    != assignment.get(n, "replicate")
-                ),
-                default=len(self.order),
-            )
-        self._last_assignment = dict(assignment)
-        return self.evaluate(assignment, start, incumbent)
-
-    def evaluate(
-        self,
-        assignment: Dict[str, str],
-        start_hint: Optional[int] = None,
-        incumbent: float = float("inf"),
-    ) -> Tuple[int, Optional[float]]:
-        """Route and price *assignment*; returns ``(status, cost)``.
-
-        ``start_hint`` is the topological position of the first node whose
-        pattern differs from the previous call's assignment (``None`` to
-        re-walk from the root); positions the previous candidate never
-        committed are re-walked regardless.  ``incumbent`` arms the
-        branch-and-bound: the walk aborts with :data:`EVAL_BOUNDED` once
-        its partial cost strictly exceeds it.
-        """
-        cfg = self.cost_model.config
-        start = 0 if start_hint is None else min(start_hint, self.committed)
-        self._rollback(start)
-        tp = self.tp
-        factor = cfg.backward_flops_factor
-        bound_time = cfg.objective == "time"
-        nodes = self.nodes
-        layouts = self._layouts
-        conversions = self._conversions
-        node_cache = self._node_cache
-        struct_cache = self._struct_cache
-        for i in range(start, len(self.order)):
-            node = nodes[i]
-            input_layouts = [layouts[src] for src in node.inputs]
-            if self._has_weights[i]:
-                pattern_name = assignment.get(node.name, "replicate")
-                try:
-                    pattern = self._resolved(i, pattern_name)
-                except RoutingError:
-                    return EVAL_INVALID, None
-                required = pattern.input_layout if tp > 1 else Layout.D
-            else:
-                pattern_name = ""
-                pattern = None
-                required = follow_required(
-                    input_layouts, self._feature_axis[i]
-                )
-            # A node's outcome depends only on its pattern, its producers'
-            # layouts and which of its inbound conversions are already
-            # claimed — that tuple is the memo key.  A second, name-free
-            # level keys the same state by structural signature, so the
-            # k-th instance of a repeated layer reuses the first's routing
-            # (claims are stored by input *index* there and rebound to the
-            # instance's actual producer names on replay).
-            mask = tuple(
-                (src, required) in conversions for src in node.inputs
-            )
-            key = (i, pattern_name, tuple(input_layouts), mask)
-            hit = node_cache.get(key)
-            if hit is _INVALID:
-                self.cache_hits += 1
-                return EVAL_INVALID, None
-            if hit is not None:
-                self.cache_hits += 1
-                out_layout, claims, t_fwd, terms = hit
-                for ckey, value in claims:
-                    conversions[ckey] = value
-            else:
-                skey = (
-                    self._struct_sig[i],
-                    pattern_name,
-                    tuple(input_layouts),
-                    mask,
-                )
-                struct_hit = struct_cache.get(skey)
-                if struct_hit is _INVALID:
-                    self.cache_hits += 1
-                    node_cache[key] = _INVALID
-                    return EVAL_INVALID, None
-                if struct_hit is not None:
-                    self.cache_hits += 1
-                    out_layout, t_fwd, terms, claim_indices = struct_hit
-                    claims = tuple(
-                        ((node.inputs[idx], required), value)
-                        for idx, value in claim_indices
-                    )
-                    for ckey, value in claims:
-                        conversions[ckey] = value
-                    node_cache[key] = (out_layout, claims, t_fwd, terms)
-                else:
-                    claims_list: List[Tuple[Tuple[str, str], str]] = []
-                    try:
-                        shard = route_node(
-                            node,
-                            pattern,
-                            input_layouts,
-                            self._input_specs[i],
-                            tp,
-                            conversions,
-                            strict=True,
-                            claims=claims_list,
-                            zero_stage=self.zero,
-                        )
-                    except RoutingError:
-                        for ckey, _ in claims_list:
-                            del conversions[ckey]
-                        node_cache[key] = _INVALID
-                        struct_cache[skey] = _INVALID
-                        return EVAL_INVALID, None
-                    claims = tuple(claims_list)
-                    t_fwd, terms = self.cost_model.shard_terms(
-                        shard, self.tokens, self.groups
-                    )
-                    out_layout = shard.output_layout
-                    node_cache[key] = (out_layout, claims, t_fwd, terms)
-                    index_of = {src: k for k, src in enumerate(node.inputs)}
-                    struct_cache[skey] = (
-                        out_layout,
-                        t_fwd,
-                        terms,
-                        tuple(
-                            (index_of[ckey[0]], value)
-                            for ckey, value in claims
-                        ),
-                    )
-                    self.evaluations += 1
-            # commit — replaying estimate()'s exact accumulation order
-            self._node_claims[i] = claims
-            layouts[node.name] = out_layout
-            self._fwd_compute[i + 1] = self._fwd_compute[i] + t_fwd
-            self._bwd_compute[i + 1] = self._bwd_compute[i] + factor * t_fwd
-            fwd_comm = self._fwd_comm[i]
-            bwd_comm = self._bwd_tp_comm[i]
-            for kind, value in terms:
-                if kind == TERM_FWD_COMM:
-                    fwd_comm += value
-                elif kind == TERM_BWD_TP_COMM:
-                    bwd_comm += value
-                elif kind == TERM_GRAD_DP:
-                    self._grad_dp.append(value)
-                else:
-                    self._grad_all.append(value)
-            self._fwd_comm[i + 1] = fwd_comm
-            self._bwd_tp_comm[i + 1] = bwd_comm
-            self._dp_len[i + 1] = len(self._grad_dp)
-            self._all_len[i + 1] = len(self._grad_all)
-            self.committed = i + 1
-            # Admissible bound: every remaining term is non-negative and
-            # IEEE addition of non-negative values is monotone, so the
-            # partial is a lower bound on the final cost.  Strict ``>``
-            # keeps ties with the incumbent alive, matching first-wins.
-            partial = fwd_comm + bwd_comm
-            if bound_time:
-                partial = (
-                    self._fwd_compute[i + 1] + self._bwd_compute[i + 1]
-                ) + partial
-            if partial > incumbent:
-                return EVAL_BOUNDED, None
-        for leaf in self._leaves:
-            if self._layouts.get(leaf) == Layout.P:
-                return EVAL_INVALID, None
-        return EVAL_VALID, self._finalize()
-
-    # ------------------------------------------------------------------
-    def _finalize(self) -> float:
-        """The plan's scalar cost — same float :meth:`CostModel.plan_cost`
-        computes for a fresh routing of this candidate."""
-        cfg = self.cost_model.config
-        n = len(self.order)
-        # Packing + pricing the gradient streams is the one O(n) piece of
-        # finalisation; candidates that shard the same weights produce the
-        # same streams, so the packed time is memoized on their content.
-        gkey = (tuple(self._grad_dp), tuple(self._grad_all))
-        cached = self._grad_time_cache.get(gkey)
-        if cached is None:
-            grad_collective = (
-                "reduce_scatter" if self.zero >= 1 else "all_reduce"
-            )
-            grad_time = 0.0
-            for axis, stream in (("dp", gkey[0]), ("all", gkey[1])):
-                buckets = pack_gradients(stream, cfg.packing)
-                grad_time += sum(
-                    collective_time(
-                        grad_collective,
-                        b.nbytes,
-                        self.groups[axis],
-                        use_efficiency=cfg.use_efficiency,
-                    )
-                    for b in buckets
-                )
-            gather_time = 0.0
-            if self.zero >= 1:
-                for axis, stream in (("dp", gkey[0]), ("all", gkey[1])):
-                    gather_time += sum(
-                        collective_time(
-                            "all_gather",
-                            b.nbytes,
-                            self.groups[axis],
-                            use_efficiency=cfg.use_efficiency,
-                        )
-                        for b in pack_gradients(stream, cfg.packing)
-                    )
-            cached = (grad_time, gather_time)
-            self._grad_time_cache[gkey] = cached
-        grad_time, gather_time = cached
-        backward_compute = self._bwd_compute[n]
-        overlapped = (
-            min(grad_time, backward_compute) if cfg.overlap_gradients else 0.0
-        )
-        exposed = grad_time - overlapped
-        comm = (
-            self._fwd_comm[n] + self._bwd_tp_comm[n] + exposed
-        ) + gather_time
-        if cfg.objective == "comm":
-            return comm
-        return (self._fwd_compute[n] + backward_compute) + comm
-
-
 @dataclass
 class BlockSearchOutcome:
     """Result of the candidate sweep over one block at one TP degree."""
@@ -601,9 +201,9 @@ class BlockSearchOutcome:
     valid: int = 0
     best_assignment: Dict[str, str] = field(default_factory=dict)
     best_cost: float = float("inf")
-    #: node routings executed by the engine (cache misses)
+    #: columns compiled for the sweep (0 when the block's compile was cached)
     evaluations: int = 0
-    #: node routings answered from the engine's memo table
+    #: candidate rows answered from the compiled tables
     cache_hits: int = 0
     #: candidates abandoned mid-walk by the admissible bound
     bound_skipped: int = 0
@@ -615,21 +215,21 @@ def search_block_candidates(
     tp_degree: int,
     cost_model: CostModel,
     max_plans: int = 50_000,
-    engine=True,
+    engine: str = "columnar",
     use_bound: bool = True,
     zero_stage: int = 0,
 ) -> BlockSearchOutcome:
     """Sweep every candidate assignment of *block* and keep the cheapest.
 
-    ``engine`` selects the evaluation tier (see :func:`normalize_engine`):
-    ``False``/``"reference"`` runs a fresh :func:`route_plan` and
-    :meth:`CostModel.plan_cost` per candidate, ``True``/``"engine"`` the
-    memoized incremental evaluator, and ``"columnar"`` the array-batched
-    core — all over the *same* Gray-ordered enumeration, so every tier
-    examines the identical candidate sequence and, by strict first-wins
-    comparison, selects the identical assignment at the identical cost.
-    ``use_bound=False`` disables the branch-and-bound (every valid
-    candidate is then fully priced and counted).
+    ``engine`` selects the tier (see :func:`normalize_engine`):
+    ``"reference"`` runs a fresh :func:`route_plan` and
+    :meth:`CostModel.plan_cost` per candidate, ``"columnar"`` the
+    array-batched core — both over the *same* Gray-ordered enumeration, so
+    they examine the identical candidate sequence and, by strict
+    first-wins comparison, select the identical assignment at the
+    identical cost.  ``use_bound=False`` disables the columnar tier's
+    branch-and-bound (every valid candidate is then fully priced and
+    counted).
     """
     tier = normalize_engine(engine)
     with trace.span(
@@ -640,7 +240,7 @@ def search_block_candidates(
             use_bound, zero_stage,
         )
     if metrics.enabled():
-        # Published once per sweep — never per candidate — so the engine's
+        # Published once per sweep — never per candidate — so the sweep's
         # inner loop stays uninstrumented (the <2% overhead budget).
         metrics.counter("search.candidates", out.candidates, block=block.name)
         metrics.counter("search.valid", out.valid, block=block.name)
@@ -667,7 +267,7 @@ def _search_block_candidates(
     if not groups:
         # All-replicate fast path: a block whose every decision group is a
         # single pattern has exactly one candidate — the assembled plan's
-        # default — so the family sweep has nothing to enumerate.  All
+        # default — so the family sweep has nothing to enumerate.  Both
         # tiers take this exit, keeping their counters identical.
         return out
     if tier == "columnar":
@@ -677,46 +277,16 @@ def _search_block_candidates(
             block, registry, tp_degree, cost_model, max_plans, use_bound,
             groups, zero_stage,
         )
-    plans = iter_gray_plans(groups, max_plans)
-    if tier == "reference":
-        for assignment, _changed in plans:
-            out.candidates += 1
-            candidate = ShardingPlan.of(
-                assignment, tp_degree, zero_stage=zero_stage
-            )
-            try:
-                routed = route_plan(block, candidate, registry)
-            except RoutingError:
-                continue
-            out.valid += 1
-            cost = cost_model.plan_cost(routed)
-            if cost < out.best_cost:
-                out.best_cost = cost
-                out.best_assignment = candidate.as_dict
-        return out
-
-    evaluator = BlockEvaluator(
-        block, registry, tp_degree, cost_model, zero_stage
-    )
-    pos = evaluator.pos
-    group_start = [
-        min(pos[name] for name in names if name in pos)
-        for names, _ in groups
-    ]
-    for assignment, changed in plans:
+    for assignment, _changed in iter_gray_plans(groups, max_plans):
         out.candidates += 1
-        start = None if changed is None else group_start[changed]
-        incumbent = out.best_cost if use_bound else float("inf")
-        status, cost = evaluator.evaluate(assignment, start, incumbent)
-        if status == EVAL_BOUNDED:
-            out.bound_skipped += 1
-            continue
-        if status == EVAL_INVALID:
+        candidate = ShardingPlan.of(assignment, tp_degree, zero_stage=zero_stage)
+        try:
+            routed = route_plan(block, candidate, registry)
+        except RoutingError:
             continue
         out.valid += 1
+        cost = cost_model.plan_cost(routed)
         if cost < out.best_cost:
             out.best_cost = cost
-            out.best_assignment = dict(assignment)
-    out.evaluations = evaluator.evaluations
-    out.cache_hits = evaluator.cache_hits
+            out.best_assignment = candidate.as_dict
     return out

@@ -12,11 +12,11 @@
 4. broadcast each family's winner to all its instances, default everything
    uncovered to replication, and route + price the assembled full plan.
 
-Step 3 runs on the candidate-evaluation engine
-(:mod:`repro.core.evaluate`): Gray-code enumeration, incremental
-memoized routing, cached pricing and branch-and-bound — selecting the
-bit-identical plan the reference per-candidate loop selects
-(``engine=False`` runs that loop for comparison).  ``jobs`` spreads
+Step 3 runs on the columnar search core (:mod:`repro.core.columnar`):
+Gray-code enumeration, compile-once column tables, batched pricing and
+branch-and-bound — selecting the bit-identical plan the reference
+per-candidate loop selects (``engine="reference"`` runs that loop for
+comparison).  ``jobs`` spreads
 independent (family × TP degree) searches over a thread pool; the
 reduction is performed in a fixed order, so results never depend on
 scheduling.
@@ -39,7 +39,6 @@ from .cost import CostConfig, CostModel
 from .columnar import ColumnarEvaluator
 from .evaluate import (
     EVAL_VALID,
-    BlockEvaluator,
     BlockSearchOutcome,
     decision_groups,
     iter_gray_plans,
@@ -54,11 +53,6 @@ from .routing import RoutingError, route_plan
 
 __all__ = ["FamilySearch", "SearchResult", "enumerate_block_plans", "derive_plan"]
 
-#: Backwards-compatible alias — the group computation moved to
-#: :mod:`repro.core.evaluate` with the candidate-evaluation engine.
-_enumerable_groups = decision_groups
-
-
 @dataclass
 class FamilySearch:
     """Search record for one shared-subgraph family at one TP degree."""
@@ -69,7 +63,7 @@ class FamilySearch:
     valid: int = 0
     best_assignment: Dict[str, str] = field(default_factory=dict)
     best_cost: float = float("inf")
-    #: engine counters (zero on the reference path / uncovered search)
+    #: columnar counters (zero on the reference path)
     evaluations: int = 0
     cache_hits: int = 0
     bound_skipped: int = 0
@@ -86,9 +80,9 @@ class SearchResult:
     candidates_examined: int = 0
     valid_plans: int = 0
     search_seconds: float = 0.0
-    #: node routings the engine executed (cache misses)
+    #: columns the columnar tier compiled
     evaluations: int = 0
-    #: node routings the engine answered from its memo table
+    #: candidate rows the columnar tier classified from its tables
     cache_hits: int = 0
     #: candidates abandoned mid-walk by the admissible bound
     bound_skipped: int = 0
@@ -99,7 +93,7 @@ class SearchResult:
     def routed(self) -> RoutedPlan:
         """Full routing of the winning plan.
 
-        The engine already validated and priced the winner without
+        The columnar tier already validated and priced the winner without
         materialising a :class:`RoutedPlan`, so the walk that builds one
         (shards, events, conversion table) runs on first access — callers
         that only need the plan and its cost never pay for it.
@@ -172,7 +166,7 @@ def derive_plan(
     tp_degrees: Optional[Sequence[int]] = None,
     max_plans_per_block: int = 50_000,
     use_pruning: bool = True,
-    engine=True,
+    engine: str = "columnar",
     use_bound: bool = True,
     jobs: int = 1,
     zero_stage: int = 0,
@@ -181,9 +175,8 @@ def derive_plan(
 
     ``use_pruning=False`` searches the whole graph as a single block — the
     ablation that demonstrates why Algorithm 1 matters.  ``engine``
-    selects the candidate-evaluation tier: ``False``/``"reference"`` is
-    the route-everything loop, ``True``/``"engine"`` the memoized
-    incremental evaluator, ``"columnar"`` the array-batched core;
+    selects the search tier: ``"columnar"`` (the default) is the
+    array-batched core, ``"reference"`` the route-everything oracle;
     ``use_bound=False`` keeps the chosen tier but disables
     branch-and-bound.  ``jobs`` > 1 searches independent
     (family × TP degree) blocks on a thread pool; ``jobs=0`` auto-detects
@@ -277,8 +270,8 @@ def derive_plan(
         # be exponential in the number of unique nodes; one greedy
         # coordinate-descent pass (largest weights first, each group's
         # options tried with the others held fixed) needs only a few
-        # full-graph routing passes — incremental ones when the engine is
-        # on, since each trial changes a single decision group.
+        # full-graph routing passes — batched ones on the columnar tier,
+        # since each trial changes a single decision group.
         record = FamilySearch(family=None, tp_degree=tp)
         groups = decision_groups(uncovered_block, registry, tp)
         groups.sort(
@@ -289,10 +282,8 @@ def derive_plan(
         current: Dict[str, str] = {}
 
         if evaluator is not None:
-            # Full-graph evaluator: each trial changes one decision group,
-            # so routing and pricing resume from the first changed node
-            # and most node outcomes come straight from the memo table
-            # (or, on the columnar tier, from the compiled column tables).
+            # Full-graph evaluator: every node outcome comes straight from
+            # the compiled column tables.
             def full_cost(extra: Dict[str, str]) -> Optional[float]:
                 status, cost = evaluator.price({**assignment, **extra})
                 if status != EVAL_VALID:
@@ -315,16 +306,15 @@ def derive_plan(
         if base_cost is not None:
             record.valid += 1
             record.best_cost = base_cost
-        price_batch = getattr(evaluator, "price_batch", None)
         for names, options in groups:
             best_option, best_cost_here = "replicate", record.best_cost
             tried = [option for option in options if option != "replicate"]
-            if price_batch is not None and tried:
+            if evaluator is not None and tried:
                 # One batched compute per group; each trial prices with no
                 # incumbent, so the batch replays the sequential trials
                 # exactly (same statuses, costs and counter increments).
                 base = {**assignment, **current}
-                outcomes_here = price_batch(
+                outcomes_here = evaluator.price_batch(
                     base, [{n: option for n in names} for option in tried]
                 )
                 costs = [
@@ -356,7 +346,7 @@ def derive_plan(
 
     # Phase B — per TP degree: collect family winners, run the uncovered
     # search against them, assemble and price the full plan.  On the
-    # engine path the assembled plan is priced by the same full-graph
+    # columnar tier the assembled plan is priced by the same full-graph
     # evaluator the uncovered descent used (bit-identical to routing and
     # pricing it from scratch), and the single full ``route_plan`` is
     # deferred to the winning degree after the reduction.
@@ -390,11 +380,7 @@ def derive_plan(
                     )
                 else:
                     assignment.update(o.best_assignment)
-        if tier == "engine":
-            evaluator = BlockEvaluator(
-                node_graph, registry, tp, cost_model, zero_stage
-            )
-        elif tier == "columnar":
+        if tier == "columnar":
             evaluator = ColumnarEvaluator(
                 node_graph, registry, tp, cost_model, zero_stage
             )
@@ -457,7 +443,7 @@ def derive_plan(
     if winner is None:
         raise RoutingError("no valid plan found for any tensor-parallel degree")
     full_plan, routed_full, cost = winner
-    # Engine path: no degree was ever routed in full — the winner's
+    # Columnar tier: no degree was ever routed in full — the winner's
     # RoutedPlan materialises lazily on first ``.routed`` access.  The
     # evaluator already validated the plan, so that walk cannot raise.
     best = SearchResult(

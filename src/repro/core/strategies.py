@@ -29,10 +29,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import Mesh
 from .cost import CostConfig, CostModel
+from .evaluate import decision_groups
 from .graphnode import NodeGraph
 from .patterns import DEFAULT_REGISTRY, PatternRegistry
 from .plan import ShardingPlan
-from .planner import _enumerable_groups
 from .routing import RoutingError, route_plan
 
 __all__ = ["StrategyResult", "search_block", "STRATEGIES"]
@@ -172,7 +172,7 @@ def search_block(
             f"unknown strategy {strategy!r}; options: {sorted(STRATEGIES)}"
         )
     cm = CostModel(mesh, cost_config)
-    groups = _enumerable_groups(block, registry, tp_degree)
+    groups = decision_groups(block, registry, tp_degree)
     result = StrategyResult(strategy=strategy)
     start = time.perf_counter()
     STRATEGIES[strategy](

@@ -5,7 +5,7 @@ records a point-in-time value (compression ratio, best cost).  Both are
 no-ops while observability is disabled — instrumentation sites may call
 them unconditionally, but hot loops should publish totals once at the
 end of a phase rather than incrementing per event (the pattern
-``search_block_candidates`` uses for the engine's memo counters).
+``search_block_candidates`` uses for the columnar tier's counters).
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class PlanRequest:
     """One planning request, as it travels over the wire.
 
     ``engine`` and ``jobs`` steer *how fast* the search runs, never what
-    it selects (all tiers are bit-identical) — they are carried for the
+    it selects (both tiers are bit-identical) — they are carried for the
     executing worker but excluded from the cache key.
     """
 
@@ -72,7 +72,7 @@ class PlanRequest:
     min_duplicate: int = 2
     tp_degrees: Optional[Tuple[int, ...]] = None
     use_pruning: bool = True
-    engine: str = "engine"
+    engine: str = "columnar"
     jobs: int = 1
     zero_stage: int = 0
 

@@ -1,12 +1,12 @@
 """AST lint rules guarding the invariants the memoization layers assume.
 
-PRs 1–2 made the planner and the simulator fast by layering caches over
-the hot paths (``BlockEvaluator`` node memos, shard-terms pricing,
-``RoutedPlan._sim_cache`` tapes).  Those caches are only sound while the
-code obeys a handful of structural rules — frozen dataclasses stay
-frozen, cache keys are structural fingerprints, nothing iterates a
-``set`` into ordered output, and pricing code never reads wall-clock or
-RNG state.  This module enforces them with :mod:`ast`, stdlib-only.
+The planner and the simulator are fast because caches are layered over
+the hot paths (``ColumnarEvaluator`` column tables and gradient-pricing
+memos, shard-terms pricing, ``RoutedPlan._sim_cache`` tapes).  Those
+caches are only sound while the code obeys a handful of structural
+rules — frozen dataclasses stay frozen, cache keys are structural
+fingerprints, nothing iterates a ``set`` into ordered output, and
+pricing code never reads wall-clock or RNG state.  This module enforces them with :mod:`ast`, stdlib-only.
 
 Rules
 -----

@@ -1,11 +1,16 @@
-"""Property sweep: the columnar tier is bit-identical to the other tiers.
+"""Property sweep: the columnar tier is bit-identical to the reference.
 
-The columnar search core (``engine="columnar"``) re-expresses enumeration,
-routing, and pricing as batched array ops.  Its contract is exact parity:
-for every model in the zoo and every mesh, the selected plan, its cost,
-and the search counters must equal both the reference loop and the
-memoized engine — not approximately, *exactly*.
+The columnar search core (``engine="columnar"``, the default) re-expresses
+enumeration, routing, and pricing as batched array ops.  Its contract is
+exact parity: for every model in the zoo and every mesh, the selected
+plan, its cost and the candidate count must equal the reference loop —
+not approximately, *exactly*.  The counters only a bounded search has
+(valid plans, bound-skipped candidates) are pinned to the committed table
+in ``tests/data/search_counts.json``.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from repro.core import coarsen, derive_plan, routed_from_json, routed_to_json
 from repro.graph import trim_auxiliary
 from repro.models import LARGE_PRESETS, MODEL_PRESETS, build_preset
 
-TIERS = ("reference", "engine", "columnar")
+TIERS = ("reference", "columnar")
 
 SMALL_PRESETS = [
     n for n in MODEL_PRESETS
@@ -26,6 +31,10 @@ MESHES = {
     "testbed_1x8": paper_testbed(1, 8),
     "flat_1x4": Mesh(num_nodes=1, gpus_per_node=4),
 }
+
+PINNED = json.loads(
+    (Path(__file__).parent.parent / "data" / "search_counts.json").read_text()
+)["counts"]
 
 
 def _graph(preset):
@@ -41,20 +50,21 @@ def _derive_all_tiers(node_graph, mesh, **kwargs):
 
 
 def _assert_tiers_identical(results):
-    ref = results["reference"]
-    for tier in ("engine", "columnar"):
-        got = results[tier]
-        assert got.plan == ref.plan, tier
-        assert got.cost == ref.cost, tier
-        assert got.tp_degree == ref.tp_degree, tier
-        assert got.candidates_examined == ref.candidates_examined, tier
-        # Bounded candidates are abandoned before validity is known, so
-        # valid_plans may undercount the reference loop — but never exceed.
-        assert got.valid_plans <= ref.valid_plans, tier
-    # The incremental and columnar evaluators share bound semantics
-    # exactly: identical valid counts and identical skip decisions.
-    assert results["columnar"].valid_plans == results["engine"].valid_plans
-    assert results["columnar"].bound_skipped == results["engine"].bound_skipped
+    ref, got = results["reference"], results["columnar"]
+    assert got.plan == ref.plan
+    assert got.cost == ref.cost
+    assert got.tp_degree == ref.tp_degree
+    assert got.candidates_examined == ref.candidates_examined
+    # Bounded candidates are abandoned before validity is known, so
+    # valid_plans may undercount the reference loop — but never exceed.
+    assert got.valid_plans <= ref.valid_plans
+
+
+def _pinned_key(key):
+    preset = key.split("@")[0]
+    if preset in LARGE_PRESETS or preset.startswith("m6"):
+        return pytest.param(key, marks=pytest.mark.slow)
+    return key
 
 
 @pytest.mark.parametrize("preset", SMALL_PRESETS)
@@ -70,6 +80,19 @@ def test_all_tiers_agree_on_large_graphs(preset):
     _assert_tiers_identical(results)
 
 
+@pytest.mark.parametrize("key", [_pinned_key(k) for k in sorted(PINNED)])
+def test_columnar_counts_match_pinned_table(key):
+    """Every zoo preset on every recorded mesh: the bounded columnar
+    search reproduces the pinned candidate, valid and bound-skipped
+    counts."""
+    preset, mesh_name = key.split("@")
+    result = derive_plan(_graph(preset), MESHES[mesh_name])
+    pinned = PINNED[key]
+    assert result.candidates_examined == pinned["candidates"]
+    assert result.valid_plans == pinned["valid_plans"]
+    assert result.bound_skipped == pinned["bound_skipped"]
+
+
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 @pytest.mark.parametrize("preset", ["t5_large", "resnet50"])
 def test_tiers_agree_across_meshes(preset, mesh_name):
@@ -83,9 +106,10 @@ def test_tiers_agree_without_bound(preset):
     ng = _graph(preset)
     bounded = _derive_all_tiers(ng, paper_testbed(2, 8))
     unbounded = _derive_all_tiers(ng, paper_testbed(2, 8), use_bound=False)
+    _assert_tiers_identical(bounded)
     _assert_tiers_identical(unbounded)
     # With the bound off every candidate is fully classified, so the
-    # valid count matches the reference loop exactly in every tier.
+    # valid count matches the reference loop exactly.
     assert (
         unbounded["columnar"].valid_plans == unbounded["reference"].valid_plans
     )

@@ -1,12 +1,13 @@
-"""Tests for the candidate-evaluation engine (:mod:`repro.core.evaluate`).
+"""Tests for candidate enumeration and pricing (:mod:`repro.core.evaluate`).
 
-The engine's contract is bit-exact equivalence with the reference path:
-whatever sequence of candidates is evaluated, the memoized incremental
-walk must classify each candidate (valid/invalid) exactly as a fresh
-``route_plan`` does and price valid ones to the exact float
-``CostModel.plan_cost`` produces.  These tests drive randomized candidate
-sequences through both paths and compare, plus the Gray-code enumeration
-and branch-and-bound properties the engine's speed rests on.
+The columnar tier's contract is bit-exact equivalence with the reference
+path: whatever sequence of candidates is evaluated,
+:meth:`ColumnarEvaluator.price` must classify each candidate
+(valid/invalid) exactly as a fresh ``route_plan`` does and price valid
+ones to the exact float ``CostModel.plan_cost`` produces.  These tests
+drive randomized candidate sequences through both paths and compare,
+plus the Gray-code enumeration and branch-and-bound properties the
+search's speed rests on.
 """
 
 import random
@@ -17,7 +18,8 @@ from repro.cluster import paper_testbed
 from repro.graph import trim_auxiliary
 from repro.core import (
     DEFAULT_REGISTRY,
-    BlockEvaluator,
+    ColumnarEvaluator,
+    CostConfig,
     CostModel,
     ShardingPlan,
     coarsen,
@@ -123,10 +125,10 @@ class TestEvaluatorEquivalence:
     def test_randomized_candidates_match_fresh_route_and_price(
         self, encoder_block, mesh
     ):
-        """Random one-group mutations: incremental price == fresh price."""
+        """Random one-group mutations: columnar price == fresh price."""
         tp = 8
         cm = CostModel(mesh)
-        evaluator = BlockEvaluator(encoder_block, DEFAULT_REGISTRY, tp, cm)
+        evaluator = ColumnarEvaluator(encoder_block, DEFAULT_REGISTRY, tp, cm)
         groups = decision_groups(encoder_block, DEFAULT_REGISTRY, tp)
         rng = random.Random(7)
         assignment = {}
@@ -147,7 +149,7 @@ class TestEvaluatorEquivalence:
         """Arbitrary multi-group jumps over the whole graph also match."""
         tp = 8
         cm = CostModel(mesh)
-        evaluator = BlockEvaluator(t5_nodes, DEFAULT_REGISTRY, tp, cm)
+        evaluator = ColumnarEvaluator(t5_nodes, DEFAULT_REGISTRY, tp, cm)
         groups = decision_groups(t5_nodes, DEFAULT_REGISTRY, tp)
         rng = random.Random(11)
         assignment = {}
@@ -166,28 +168,38 @@ class TestEvaluatorEquivalence:
                 assert cost == expected
 
     def test_structural_cache_shares_repeated_layers(self, t5_nodes, mesh):
-        """Routing the second identical layer replays the first's work."""
-        cm = CostModel(mesh)
-        evaluator = BlockEvaluator(t5_nodes, DEFAULT_REGISTRY, 8, cm)
-        status, _cost = evaluator.price({})
+        """The second identical layer reuses the first's columns: a column
+        is compiled per (node class, pattern), not per node."""
+        tp = 8
+        # a config no other test uses, so this test's compile is a miss
+        cm = CostModel(mesh, CostConfig(batch_tokens=3 * 1024))
+        evaluator = ColumnarEvaluator(t5_nodes, DEFAULT_REGISTRY, tp, cm)
+        status, cost = evaluator.price({})
         assert status == EVAL_VALID
-        # the walk commits every node but routes only unique structures
-        assert evaluator.evaluations + evaluator.cache_hits == len(evaluator.order)
-        assert evaluator.evaluations < len(evaluator.order)
+        assert cost == self._reference(t5_nodes, {}, tp, cm)
+        weight_nodes = t5_nodes.weight_nodes()
+        options = sum(
+            len(DEFAULT_REGISTRY.options(node, tp)) for node in weight_nodes
+        )
+        assert 0 < evaluator.evaluations < options
+        assert evaluator.cache_hits == 1
+        # a second evaluator over the same graph and degree compiles nothing
+        again = ColumnarEvaluator(t5_nodes, DEFAULT_REGISTRY, tp, cm)
+        assert again.evaluations == 0
 
 
 class TestSearchEquivalence:
-    def test_engine_matches_reference_sweep(self, encoder_block, mesh):
+    def test_columnar_matches_reference_sweep(self, encoder_block, mesh):
         cm = CostModel(mesh)
-        eng = search_block_candidates(
-            encoder_block, DEFAULT_REGISTRY, 8, cm, engine=True
+        col = search_block_candidates(
+            encoder_block, DEFAULT_REGISTRY, 8, cm, engine="columnar"
         )
         ref = search_block_candidates(
-            encoder_block, DEFAULT_REGISTRY, 8, cm, engine=False
+            encoder_block, DEFAULT_REGISTRY, 8, cm, engine="reference"
         )
-        assert eng.best_assignment == ref.best_assignment
-        assert eng.best_cost == ref.best_cost
-        assert eng.candidates == ref.candidates
+        assert col.best_assignment == ref.best_assignment
+        assert col.best_cost == ref.best_cost
+        assert col.candidates == ref.candidates
 
     def test_bound_changes_nothing_but_skips_candidates(
         self, encoder_block, mesh
@@ -208,7 +220,7 @@ class TestSearchEquivalence:
         assert bounded.valid <= unbounded.valid
 
     def test_derive_plan_engine_jobs_bound_all_agree(self, t5_nodes, mesh):
-        reference = derive_plan(t5_nodes, mesh, engine=False)
+        reference = derive_plan(t5_nodes, mesh, engine="reference")
         variants = [
             derive_plan(t5_nodes, mesh),
             derive_plan(t5_nodes, mesh, use_bound=False),
@@ -224,12 +236,12 @@ class TestSearchEquivalence:
         assert variants[0].bound_skipped > 0
 
     def test_lazy_routed_plan_matches_eager(self, t5_nodes, mesh):
-        eng = derive_plan(t5_nodes, mesh)
-        ref = derive_plan(t5_nodes, mesh, engine=False)
-        assert eng.routed.shards.keys() == ref.routed.shards.keys()
+        col = derive_plan(t5_nodes, mesh)
+        ref = derive_plan(t5_nodes, mesh, engine="reference")
+        assert col.routed.shards.keys() == ref.routed.shards.keys()
         cm = CostModel(mesh)
-        assert cm.plan_cost(eng.routed) == eng.cost
-        assert cm.plan_cost(eng.routed) == cm.plan_cost(ref.routed)
+        assert cm.plan_cost(col.routed) == col.cost
+        assert cm.plan_cost(col.routed) == cm.plan_cost(ref.routed)
 
 
 class TestCostModelCaches:

@@ -37,7 +37,7 @@ def test_plan_roundtrip_and_cache_hit(server):
     assert a["key"] == b["key"] == a["envelope"]["key"]
     # the full envelope crosses the wire bit-identically
     assert a["envelope"] == b["envelope"]
-    assert a["engine"] == "engine"
+    assert a["engine"] == "columnar"
     assert a["cost"] > 0 and "search_seconds" in a["timings"]
 
 
