@@ -1,14 +1,20 @@
-"""Simulation hot path — segment replay and the columnar tier vs. reference.
+"""Simulation hot path — the columnar tier vs. the reference event loop.
 
-Times `simulate_iteration` across its three tiers.  The legacy pair
-(48-layer T5, 100K-class ResNet) stresses replay vs. the reference
-event loop including replay's cold compile; the large zoo presets
-(96-layer T5, 300K-class ResNet, deep MoE) stress all three tiers
-*warm* — the sweep regime where one routed plan is priced over and
-over and the columnar prefix-sum replay amortises its compile.  A
-final record times `simulate_batch` pricing every named baseline plan
-of the deep T5 in one padded cumsum against the equivalent sequence of
-warm replay calls — the what-if/`POST /simulate` shape.
+Times `simulate_iteration` on its two tiers.  The legacy pair (48-layer
+T5, 100K-class ResNet) times the default columnar tier against the
+reference event loop with columnar's cold compile included; the large
+zoo presets (96-layer T5, 300K-class ResNet, deep MoE) time both tiers
+*warm* — the sweep regime where one routed plan is priced over and over
+and the columnar prefix-sum replay amortises its compile.  A final
+record times `simulate_batch` pricing every named baseline plan of the
+deep T5 (warm) against the equivalent sequence of reference calls — the
+what-if/`POST /simulate` shape.
+
+The speed-up floors below compare against the reference loop, which the
+columnar tier beats by one to three orders of magnitude, so they are
+nominal: they only catch a collapse.  A columnar slowdown is caught by
+the regression gate's `+100%` thresholds on the `optimized_s`,
+`columnar_s` and `batch_s` rows of `benchmarks/baselines/sim.json`.
 
 Every fast path must be a pure accelerator: profiles and the complete
 engine task logs (names, starts, durations — every bit) are asserted
@@ -33,32 +39,29 @@ MODELS = (
      CostConfig(batch_tokens=1024)),
 )
 
-#: Large zoo presets for the three-tier warm sweep (label, preset name).
+#: Large zoo presets for the two-tier warm sweep (label, preset name).
 LARGE_MODELS = (
     ("t5-96L", "t5_96l"),
     ("resnet-300K", "resnet_300k"),
     ("moe-deep", "moe_deep"),
 )
 
-#: Floor on warm replay vs. columnar wall clock on the deep-stack preset
-#: the columnar tier targets (t5-96L typically lands 30x-60x warm).  The
-#: small presets are recorded but not floored here: a 74-node ResNet
-#: timeline is microseconds on either tier.
+#: Floor on warm reference vs. columnar wall clock on the deep-stack
+#: preset the columnar tier targets (nominal: t5-96L lands in the
+#: hundreds).  The small presets are only held to "not slower".
 MIN_COLUMNAR_SPEEDUP = 8.0
 
-#: Floor on N sequential warm replay calls vs. one `simulate_batch` of
-#: the same N plans (typically lands well above 10x).
+#: Floor on N sequential reference calls vs. one `simulate_batch` of the
+#: same N plans (nominal: it lands above 100x).
 MIN_BATCH_SPEEDUP = 3.0
 
 #: Simulation rounds per path — the repeated-pricing pattern of the
-#: figure sweeps.  The replay timing includes its cold compile (the
+#: figure sweeps.  The columnar timing includes its cold compile (the
 #: plan's tape cache is cleared first), so round 1 pays full price.
 ROUNDS = 30
 
-#: Floor on reference vs. replay wall clock.  Replay typically lands at
-#: 5x-7x warm; the floor is conservative so the assertion stays robust
-#: under machine load (a loaded 1-core runner measures ~3.8x on windows
-#: of a few milliseconds — the regression gate tracks the real value).
+#: Floor on reference vs. columnar wall clock, cold compile included
+#: (nominal: the columnar tier lands at 10x and more).
 MIN_SPEEDUP = 3.5
 
 
@@ -73,15 +76,14 @@ def _logs(prof):
     return out
 
 
-def _time_rounds(routed, mesh, cfg, reference):
-    """Wall-clock of ROUNDS simulations; replay re-pays its cold compile."""
+def _time_rounds(routed, mesh, cfg, tier):
+    """Wall-clock of ROUNDS simulations; columnar re-pays its cold compile."""
     from repro.simulator import simulate_iteration
 
-    if not reference:
-        routed._sim_cache.clear()
+    routed._sim_cache.clear()
     t0 = time.perf_counter()
     for _ in range(ROUNDS):
-        simulate_iteration(routed, mesh, cfg, reference=reference)
+        simulate_iteration(routed, mesh, cfg, engine=tier)
     return time.perf_counter() - t0
 
 
@@ -97,22 +99,18 @@ def _time_warm(routed, mesh, cfg, tier):
 
 
 def _assert_parity(label, routed, mesh, cfg):
-    """All three tiers must agree bit-for-bit before timing is trusted."""
+    """Both tiers must agree bit-for-bit before timing is trusted."""
     from repro.simulator import simulate_iteration
 
     ref = simulate_iteration(routed, mesh, cfg, engine="reference")
     routed._sim_cache.clear()
-    rep = simulate_iteration(routed, mesh, cfg, engine="replay")
     col = simulate_iteration(routed, mesh, cfg, engine="columnar")
-    assert rep.as_dict() == ref.as_dict(), label
     assert col.as_dict() == ref.as_dict(), label
-    ref_logs = _logs(ref)
-    assert _logs(rep) == ref_logs, label
-    assert _logs(col) == ref_logs, label
+    assert _logs(col) == _logs(ref), label
 
 
 def large_sweep():
-    """Three-tier warm timings + columnar peak memory on the large zoo."""
+    """Two-tier warm timings + columnar peak memory on the large zoo."""
     mesh = mesh_16w()
     cfg = CostConfig()
     rows = []
@@ -123,8 +121,6 @@ def large_sweep():
         _assert_parity(label, routed, mesh, cfg)
 
         t_ref = min(_time_warm(routed, mesh, cfg, "reference")
-                    for _ in range(3))
-        t_rep = min(_time_warm(routed, mesh, cfg, "replay")
                     for _ in range(3))
         t_col = min(_time_warm(routed, mesh, cfg, "columnar")
                     for _ in range(3))
@@ -145,9 +141,8 @@ def large_sweep():
                 "engine": "columnar",
                 "nodes": len(routed.order),
                 "reference_s": t_ref,
-                "replay_s": t_rep,
                 "columnar_s": t_col,
-                "speedup_over_replay": t_rep / t_col,
+                "speedup": t_ref / t_col,
                 "segments": prof.segments_detected,
                 "peak_mem_mb": peak / 2**20,
             }
@@ -156,7 +151,7 @@ def large_sweep():
 
 
 def batch_sweep():
-    """One `simulate_batch` over every named plan vs. N sequential replays."""
+    """One `simulate_batch` over every named plan vs. N reference calls."""
     from repro.simulator import simulate_batch, simulate_iteration
 
     mesh = mesh_16w()
@@ -166,18 +161,18 @@ def batch_sweep():
         route_plan(ng, builder(ng, mesh.gpus_per_node), DEFAULT_REGISTRY)
         for builder in NAMED_PLANS.values()
     ]
-    # parity: the batch must equal per-plan replay, plan for plan
+    # parity: the batch must equal the per-plan reference, plan for plan
     batch_profs = simulate_batch(routed_plans, mesh, cfg)
     for routed, prof in zip(routed_plans, batch_profs):
-        rep = simulate_iteration(routed, mesh, cfg, engine="replay")
-        assert prof.as_dict() == rep.as_dict()
-        assert _logs(prof) == _logs(rep)
+        ref = simulate_iteration(routed, mesh, cfg, engine="reference")
+        assert prof.as_dict() == ref.as_dict()
+        assert _logs(prof) == _logs(ref)
 
     def seq():
         t0 = time.perf_counter()
         for _ in range(ROUNDS):
             for routed in routed_plans:
-                simulate_iteration(routed, mesh, cfg, engine="replay")
+                simulate_iteration(routed, mesh, cfg, engine="reference")
         return time.perf_counter() - t0
 
     def batched():
@@ -192,7 +187,7 @@ def batch_sweep():
         "model": "batch-t5-96L",
         "engine": "columnar",
         "plans": len(routed_plans),
-        "sequential_replay_s": t_seq,
+        "reference_s": t_seq,
         "batch_s": t_batch,
         "batch_speedup": t_seq / t_batch,
     }
@@ -208,29 +203,21 @@ def sweep():
         from repro.simulator import simulate_iteration
 
         # -- bit-exactness first: profile and full task log, both paths --
-        ref_prof = simulate_iteration(routed, mesh, cfg, reference=True)
+        ref_prof = simulate_iteration(routed, mesh, cfg, engine="reference")
         routed._sim_cache.clear()
-        rep_prof = simulate_iteration(routed, mesh, cfg)
-        assert rep_prof.as_dict() == ref_prof.as_dict(), label
-        assert _logs(rep_prof) == _logs(ref_prof), label
+        col_prof = simulate_iteration(routed, mesh, cfg)
+        assert col_prof.as_dict() == ref_prof.as_dict(), label
+        assert _logs(col_prof) == _logs(ref_prof), label
 
         # best of three timing windows per path — scheduler noise only
         # ever inflates a window, so the min is the honest number
-        t_ref = min(_time_rounds(routed, mesh, cfg, True) for _ in range(3))
-        t_rep = min(_time_rounds(routed, mesh, cfg, False) for _ in range(3))
-        if t_ref / t_rep < MIN_SPEEDUP:
-            # transient load can still inflate all three windows of one
-            # path (resnet's replay window is ~2 ms); one re-measure
-            # separates a busy box from a real regression
-            t_ref = min(t_ref,
-                        *(_time_rounds(routed, mesh, cfg, True)
-                          for _ in range(3)))
-            t_rep = min(t_rep,
-                        *(_time_rounds(routed, mesh, cfg, False)
-                          for _ in range(3)))
+        t_ref = min(_time_rounds(routed, mesh, cfg, "reference")
+                    for _ in range(3))
+        t_col = min(_time_rounds(routed, mesh, cfg, "columnar")
+                    for _ in range(3))
 
-        # peak tracked memory of one cold replay (compile + run), measured
-        # outside the timing windows
+        # peak tracked memory of one cold columnar simulation (compile +
+        # run), measured outside the timing windows
         routed._sim_cache.clear()
         tracemalloc.start()
         simulate_iteration(routed, mesh, cfg)
@@ -242,9 +229,9 @@ def sweep():
                 "model": label,
                 "nodes": len(routed.order),
                 "ref_seconds": t_ref,
-                "rep_seconds": t_rep,
-                "segments": rep_prof.segments_detected,
-                "replayed": rep_prof.nodes_replayed,
+                "col_seconds": t_col,
+                "segments": col_prof.segments_detected,
+                "replayed": col_prof.nodes_replayed,
                 "peak_mem_mb": peak / 2**20,
             }
         )
@@ -266,10 +253,10 @@ def _legacy_records(rows):
     return [
         {
             "model": r["model"],
-            "engine": "replay",
+            "engine": "columnar",
             "reference_s": r["ref_seconds"],
-            "optimized_s": r["rep_seconds"],
-            "speedup": r["ref_seconds"] / r["rep_seconds"],
+            "optimized_s": r["col_seconds"],
+            "speedup": r["ref_seconds"] / r["col_seconds"],
             "nodes": r["nodes"],
             "segments": r["segments"],
             "nodes_replayed": r["replayed"],
@@ -284,21 +271,21 @@ def test_sim_hotpath_replay_speedup(run_once):
     rows = run_once(_legacy_rows)
     table = format_table(
         ["model", "nodes", f"reference (s, {ROUNDS} rounds)",
-         "replay (s)", "speed-up", "segments", "nodes replayed"],
+         "columnar (s)", "speed-up", "segments", "nodes replayed"],
         [
             [
                 r["model"],
                 r["nodes"],
                 f"{r['ref_seconds']:.3f}",
-                f"{r['rep_seconds']:.3f}",
-                f"{r['ref_seconds'] / r['rep_seconds']:.1f}x",
+                f"{r['col_seconds']:.3f}",
+                f"{r['ref_seconds'] / r['col_seconds']:.1f}x",
                 r["segments"],
                 r["replayed"],
             ]
             for r in rows
         ],
-        title="simulation hot path: segment replay vs. reference event "
-              "loop (mesh 2x8)",
+        title="simulation hot path: columnar (cold compile included) vs. "
+              "reference event loop (mesh 2x8)",
     )
     emit("sim_hotpath", table)
 
@@ -308,7 +295,7 @@ def test_sim_hotpath_replay_speedup(run_once):
         assert r["segments"] >= 1, r["model"]
         assert r["replayed"] > r["nodes"] // 3, r["model"]
         # and the whole point: pricing once, replaying often is faster
-        speedup = r["ref_seconds"] / r["rep_seconds"]
+        speedup = r["ref_seconds"] / r["col_seconds"]
         assert speedup >= MIN_SPEEDUP, (r["model"], speedup)
 
 
@@ -320,15 +307,14 @@ def test_sim_columnar_zoo_and_batch(run_once):
     zoo, batch = run_once(run)
     table = format_table(
         ["model", "nodes", f"reference (s, {ROUNDS} warm rounds)",
-         "replay (s)", "columnar (s)", "columnar vs replay", "peak (MB)"],
+         "columnar (s)", "columnar vs reference", "peak (MB)"],
         [
             [
                 r["model"],
                 r["nodes"],
                 f"{r['reference_s']:.4f}",
-                f"{r['replay_s']:.4f}",
                 f"{r['columnar_s']:.4f}",
-                f"{r['speedup_over_replay']:.1f}x",
+                f"{r['speedup']:.1f}x",
                 f"{r['peak_mem_mb']:.2f}",
             ]
             for r in zoo
@@ -336,14 +322,13 @@ def test_sim_columnar_zoo_and_batch(run_once):
             [
                 batch["model"],
                 f"{batch['plans']} plans",
-                "-",
-                f"{batch['sequential_replay_s']:.4f}",
+                f"{batch['reference_s']:.4f}",
                 f"{batch['batch_s']:.4f}",
                 f"{batch['batch_speedup']:.1f}x",
                 "-",
             ]
         ],
-        title="columnar simulation: warm three-tier sweep + batched "
+        title="columnar simulation: warm two-tier sweep + batched "
               "what-if (mesh 2x8)",
     )
     emit("sim_columnar", table)
@@ -356,9 +341,8 @@ def test_sim_columnar_zoo_and_batch(run_once):
     by_model = {r["model"]: r for r in zoo}
     # acceptance floor on the preset the columnar tier targets
     t5 = by_model["t5-96L"]
-    assert t5["speedup_over_replay"] >= MIN_COLUMNAR_SPEEDUP, t5
-    # every preset must at least not be slower than replay, warm
+    assert t5["speedup"] >= MIN_COLUMNAR_SPEEDUP, t5
+    # every preset must at least not be slower than the reference, warm
     for r in zoo:
-        assert r["speedup_over_replay"] >= 1.0, (r["model"],
-                                                 r["speedup_over_replay"])
+        assert r["speedup"] >= 1.0, (r["model"], r["speedup"])
     assert batch["batch_speedup"] >= MIN_BATCH_SPEEDUP, batch

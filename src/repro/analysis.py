@@ -98,12 +98,12 @@ def evaluate_plan(
     config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
     name: Optional[str] = None,
-    engine=None,
+    engine: str = "columnar",
 ) -> PlanEvaluation:
     """Price one plan; invalid plans return a marked, infinite evaluation.
 
-    ``engine`` selects the simulation tier (``None`` → the replay
-    default); all tiers produce bit-identical evaluations.
+    ``engine`` selects the simulation tier (``"columnar"`` or
+    ``"reference"``); both produce bit-identical evaluations.
     """
     label = name or plan.name or "plan"
     try:
@@ -126,11 +126,11 @@ def compare_plans(
 ) -> List[PlanEvaluation]:
     """Evaluate the named strategies (and TAP's pick) side by side.
 
-    The candidate set is routed up front and simulated as **one**
-    columnar batch (:func:`repro.core.what_if_profiles`) rather than one
-    event-loop replay per plan; ``engine="replay"`` / ``"reference"``
-    restore the per-plan loop, bit-identically.  Returns evaluations
-    sorted by communication cost (TAP's objective).
+    The candidate set is routed up front and simulated through
+    :func:`repro.core.what_if_profiles` on the columnar tier;
+    ``engine="reference"`` runs the per-plan oracle loop instead,
+    bit-identically.  Returns evaluations sorted by communication cost
+    (TAP's objective).
     """
     tp = tp_degree if tp_degree is not None else mesh.gpus_per_node
     labelled: List = [
@@ -164,7 +164,7 @@ def sweep(
     configurations: Dict[str, Mesh],
     batch_tokens: Sequence[int] = (16 * 512,),
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine=None,
+    engine: str = "columnar",
 ) -> List[Dict]:
     """Derive TAP's plan across meshes × batch sizes.
 
@@ -204,7 +204,7 @@ def zero_crossover(
     tp_degree: Optional[int] = None,
     stages: Sequence[int] = (0, 1, 2),
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine=None,
+    engine: str = "columnar",
 ) -> List[Dict]:
     """The memory-vs-communication trade of the ZeRO axis, per stage.
 

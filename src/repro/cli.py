@@ -15,8 +15,8 @@ Commands
 ``simulate``
     Price a named plan (dp / mha_only / ffn_only / megatron / a saved
     JSON plan) on a mesh: step time, breakdown, per-device memory.
-    ``--engine {reference,replay,columnar}`` picks the simulation tier
-    (bit-identical results, different speed); ``--remote URL`` asks a
+    ``--engine {reference,columnar}`` picks the simulation tier
+    (columnar by default; bit-identical results); ``--remote URL`` asks a
     running planner daemon's ``POST /simulate`` instead, which prices a
     whole candidate set in one cached columnar batch.
 ``verify``
@@ -53,6 +53,7 @@ from typing import List, Optional
 
 from .cluster import Mesh, paper_testbed
 from .core import (
+    ENGINE_TIERS,
     CostConfig,
     CostModel,
     DEFAULT_REGISTRY,
@@ -165,7 +166,7 @@ def _run_remote_plan(args) -> int:
         fabric=args.fabric,
         batch_tokens=args.batch_tokens,
         min_duplicate=args.min_duplicate,
-        engine="reference" if args.no_engine else args.engine,
+        engine=args.engine,
         jobs=args.jobs,
         zero_stage=args.zero,
     )
@@ -214,7 +215,7 @@ def cmd_plan(args) -> int:
 
 
 def _run_plan(args, trimmed, trim_record, ng, mesh, cfg, chrome) -> int:
-    tier = "reference" if args.no_engine else args.engine
+    tier = args.engine
     result = derive_plan(
         ng, mesh,
         cost_config=cfg,
@@ -282,7 +283,7 @@ def _run_remote_simulate(args) -> int:
             batch_tokens=args.batch_tokens,
             plans=labels,
             tp_degree=args.tp,
-            engine=args.engine or "columnar",
+            engine=args.engine,
         )
     except ValueError as exc:
         raise SystemExit(f"bad simulate request: {exc}")
@@ -320,12 +321,6 @@ def _run_remote_simulate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import normalize_sim_engine
-
-    try:
-        tier = normalize_sim_engine(args.engine, args.reference)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
     if args.remote:
         return _run_remote_simulate(args)
     _, _, _, ng = _prep(args.model)
@@ -345,7 +340,7 @@ def cmd_simulate(args) -> int:
             _print_verification(report, "routed plan")
             return 1
     prof = simulate_iteration(
-        routed, mesh, cfg, engine=tier, verify=not args.no_verify
+        routed, mesh, cfg, engine=args.engine, verify=not args.no_verify
     )
     mem = memory_per_device(routed, mesh, cfg)
     cost = CostModel(mesh, cfg).plan_cost(routed)
@@ -360,7 +355,7 @@ def cmd_simulate(args) -> int:
             f"{cost * 1e3:.1f}",
             f"{mem.total_gb:.2f}",
         ]],
-        title=f"{args.model} on {mesh} [{tier} tier]",
+        title=f"{args.model} on {mesh} [{args.engine} tier]",
     ))
     return 0
 
@@ -565,13 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="threads for independent family x TP-degree "
                         "searches (0 = auto-detect cpu count)")
-    p.add_argument("--engine", choices=("reference", "columnar"),
-                   default="columnar",
+    p.add_argument("--engine", choices=ENGINE_TIERS, default="columnar",
                    help="search tier: the vectorized columnar core "
                         "(default) or the reference per-candidate loop")
-    p.add_argument("--no-engine", action="store_true",
-                   help="alias for --engine reference (kept for "
-                        "compatibility)")
     p.add_argument("--zero", type=int, nargs="?", const=1, default=0,
                    choices=(0, 1, 2), metavar="STAGE",
                    help="ZeRO-style optimizer-state sharding stage: "
@@ -598,14 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", default="2x8")
     p.add_argument("--fabric", choices=("paper", "nvlink"), default="paper")
     p.add_argument("--batch-tokens", type=int, default=16 * 512)
-    p.add_argument("--engine", choices=("reference", "replay", "columnar"),
-                   default=None,
-                   help="simulation tier: the reference event loop, "
-                        "segment replay (default), or the vectorized "
-                        "columnar tier — all bit-identical")
-    p.add_argument("--reference", action="store_true",
-                   help="alias for --engine reference (kept for "
-                        "compatibility)")
+    p.add_argument("--engine", choices=ENGINE_TIERS, default="columnar",
+                   help="simulation tier: the prefix-sum columnar tier "
+                        "(default) or the reference event loop — "
+                        "bit-identical")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the static plan verifier (and the columnar "
                         "tape invariant checks)")

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from ..cluster import Mesh
 from ..graph import Graph, trim_auxiliary
 from .cost import CostBreakdown, CostConfig, CostModel
+from .evaluate import normalize_engine
 from .graphnode import NodeGraph, coarsen
 from .packing import PackingConfig
 from .patterns import DEFAULT_REGISTRY, PatternRegistry
@@ -165,23 +166,21 @@ def what_if_profiles(
     engine="columnar",
     recompute=None,
 ):
-    """Route and simulate many candidate plans in one batched replay.
+    """Route and simulate many candidate plans on one mesh/config.
 
     The core entry point behind what-if surfaces (plan comparison
     tables, sweep loops, the service's ``POST /simulate``): every plan
-    is routed, and all routable plans are priced together —
-    ``engine="columnar"`` (the default) folds their timelines in a
-    single :func:`repro.simulator.simulate_batch` call instead of one
-    event-loop replay per plan.  ``engine="replay"`` / ``"reference"``
-    fall back to per-plan :func:`simulate_iteration`, tier-for-tier
-    bit-identical.
+    is routed, and each routable plan is priced by
+    :func:`repro.simulator.simulate_iteration` on *engine* —
+    ``"columnar"`` (the default) or the ``"reference"`` oracle loop,
+    bit-identically.
 
     Returns a list aligned with *plans*: ``(routed, profile)`` per
     routable plan, ``None`` where routing failed.
     """
-    from ..simulator import normalize_sim_engine, simulate_batch, simulate_iteration
+    from ..simulator import simulate_iteration
 
-    tier = normalize_sim_engine(engine)
+    tier = normalize_engine(engine)
     mesh = split(mesh)
     cfg = config or CostConfig()
     slots = []
@@ -192,13 +191,10 @@ def what_if_profiles(
         except RoutingError:
             continue
         slots.append(i)
-    if tier == "columnar":
-        profiles = simulate_batch(routed_plans, mesh, cfg, recompute)
-    else:
-        profiles = [
-            simulate_iteration(r, mesh, cfg, recompute, engine=tier)
-            for r in routed_plans
-        ]
+    profiles = [
+        simulate_iteration(r, mesh, cfg, recompute, engine=tier)
+        for r in routed_plans
+    ]
     out = [None] * len(plans)
     for i, routed, prof in zip(slots, routed_plans, profiles):
         out[i] = (routed, prof)

@@ -173,7 +173,7 @@ class RoutedPlan:
         default_factory=dict
     )
     #: compiled simulation tapes keyed by (mesh, cost config) — populated
-    #: lazily by the segment-replay simulator, never serialised or compared.
+    #: lazily by the columnar simulator, never serialised or compared.
     #: Stale only if shards/order are mutated after a simulation, which no
     #: caller does (routing builds the plan once, consumers read it).
     _sim_cache: Dict = field(default_factory=dict, repr=False, compare=False)

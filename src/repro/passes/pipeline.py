@@ -93,7 +93,7 @@ def pipeline_with_tap(
     microbatches: int = 8,
     cost_config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    reference: bool = False,
+    engine: str = "columnar",
 ) -> HybridPipelinePlan:
     """Slice into stages, run TAP per stage, assemble the hybrid plan.
 
@@ -101,8 +101,8 @@ def pipeline_with_tap(
     stage's sub-mesh keeps the original topology class with
     ``num_devices / num_stages`` devices (whole nodes first).  Microbatches
     shrink the pipeline bubble at the usual (m + s - 1)/m cost model.
-    ``reference`` forwards to each stage's :func:`simulate_iteration`,
-    selecting the reference event loop over segment replay.
+    ``engine`` forwards to each stage's :func:`simulate_iteration`
+    (``"columnar"`` or the ``"reference"`` event loop).
     """
     if num_stages < 1:
         raise ValueError("num_stages must be >= 1")
@@ -151,7 +151,7 @@ def pipeline_with_tap(
         search = derive_plan(block, stage_mesh, registry=registry,
                              cost_config=stage_cfg)
         profile = simulate_iteration(
-            search.routed, stage_mesh, stage_cfg, reference=reference
+            search.routed, stage_mesh, stage_cfg, engine=engine
         )
         boundary_spec = (
             node_graph.node(order[hi - 1]).output_spec if hi - 1 >= 0 else None

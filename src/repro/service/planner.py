@@ -349,8 +349,8 @@ class PlannerService:
 
         A miss routes every named candidate (plus ``"tap"`` through the
         regular ``plan()`` path, so the search cache and coalescing
-        apply) and prices them all in one columnar
-        :func:`repro.core.what_if_profiles` batch on the calling thread
+        apply) and prices them all with
+        :func:`repro.core.what_if_profiles` on the calling thread
         — the simulation itself is milliseconds, so unlike searches it
         needs neither the worker fleet nor in-flight coalescing; at
         worst two racing threads both compute the same envelope and the

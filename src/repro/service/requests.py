@@ -161,9 +161,9 @@ class SimulateRequest:
     Names a preset and a candidate-plan list (baseline labels from
     ``NAMED_PLANS`` and/or ``"tap"``); the service routes every candidate
     and prices them in one columnar batch.  ``engine`` selects the
-    simulation tier for the *executing* side only — all tiers are
-    bit-identical, so it is excluded from the cache key exactly like
-    :class:`PlanRequest.engine`.
+    simulation tier (``"columnar"`` or ``"reference"``) for the
+    *executing* side only — both are bit-identical, so it is excluded
+    from the cache key exactly like :class:`PlanRequest.engine`.
     """
 
     model: str
@@ -199,9 +199,7 @@ class SimulateRequest:
         if self.tp_degree is not None and self.tp_degree < 1:
             raise ValueError(f"tp_degree must be >= 1, got {self.tp_degree}")
         # Fail fast on a bad simulation-tier name at the client boundary.
-        from ..simulator import normalize_sim_engine
-
-        normalize_sim_engine(self.engine)
+        normalize_engine(self.engine)
         if self.tp_degrees is not None:
             object.__setattr__(self, "tp_degrees", tuple(self.tp_degrees))
 

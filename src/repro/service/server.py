@@ -7,7 +7,7 @@ makes that safe under duplicate bursts) over four endpoints:
 =============  ====  ==================================================
 ``/plan``      POST  a :class:`PlanRequest` doc → plan summary + envelope
 ``/simulate``  POST  a :class:`SimulateRequest` doc → per-plan what-if
-                     profiles (batched columnar simulation, cached)
+                     profiles (columnar simulation, cached)
 ``/stats``     GET   service counters, cache stats, latency p50/p99
 ``/health``    GET   liveness probe
 ``/shutdown``  POST  graceful stop: drain, close the fleet, exit serve()

@@ -1,17 +1,12 @@
 """Discrete-event training simulator: timing, memory, fusion, convergence."""
 
 from .engine import Channel, Engine, Task
-from .iteration import (
-    IterationProfile,
-    SIM_ENGINE_TIERS,
-    detect_segments,
-    normalize_sim_engine,
-    simulate_iteration,
-)
+from .iteration import IterationProfile, simulate_iteration
 from .columnar import (
     ColumnarTape,
     columnar_tape_invariants,
     compile_columnar_tape,
+    detect_segments,
     simulate_batch,
 )
 from .memory import MemoryReport, memory_per_device
@@ -34,8 +29,6 @@ __all__ = [
     "Engine",
     "Task",
     "IterationProfile",
-    "SIM_ENGINE_TIERS",
-    "normalize_sim_engine",
     "simulate_iteration",
     "detect_segments",
     "ColumnarTape",

@@ -1,16 +1,26 @@
-"""Columnar simulation tier: vectorized tape replay + batched what-ifs.
+"""Columnar simulation tier (the default): priced columns + prefix sums.
 
-The segment-replay path (:mod:`.iteration`) already compiles a routed plan
-into a priced tape; this module compiles that tape one step further, into
-flat numpy struct-of-arrays — interned task names, int8 channel codes,
-float64 per-event duration columns, int32 segment-repeat tables from
-:func:`detect_segments` — and then replays the timeline with prefix sums
-instead of a per-event Python loop.
+The tape compiler prices a routed plan once per (mesh, config) and lays it
+out as flat numpy struct-of-arrays — interned task names, int8 channel
+codes, float64 per-event duration columns, gradient-bucket tables and an
+int32 segment-repeat table from :func:`detect_segments` — and the replay
+then folds the timeline with prefix sums instead of a per-event Python
+loop.
 
-Why a prefix sum is *bit-exact* and not an approximation: the replay loop
-executes ``start = max(free, ready); end = start + duration`` per event,
-and events within a node are laid out ``[collectives..., compute]``.  Two
-facts follow by induction over ``routed.order``:
+Compilation applies the observation Algorithm 1 applies to the search:
+nodes are grouped by structural signature (pattern, flops, compute share,
+recompute flag, event list — the shared-subgraph families), each
+signature is priced *once* (collective pricing cached per (collective,
+nbytes, group); gradient packing memoised on stream content), and every
+node instance then only appends that priced program to the columns under
+its own task names.  :func:`detect_segments` finds the repeated runs of
+signatures in ``routed.order`` (the layer stacks) for the segment table
+and the ``segments_detected`` / ``nodes_replayed`` diagnostics.
+
+Why a prefix sum is *bit-exact* and not an approximation: the reference
+event loop executes ``start = max(free, ready); end = start + duration``
+per event, and events within a node are laid out ``[collectives...,
+compute]``.  Two facts follow by induction over ``routed.order``:
 
 * at every node boundary ``comp_free >= comm_free`` (both start equal, and
   each node ends by advancing the compute channel past the comm channel:
@@ -30,19 +40,18 @@ O(num_buckets) rows, with bucket ready times gathered bit-exactly via
 ``np.maximum.reduceat`` (max is selection, not arithmetic).
 
 Busy-time sums are pure tape properties — the same left-to-right folds the
-replay loop accumulates — so they are folded once at compile time.  Task
-logs are *lazy*: :class:`IterationProfile.engine` is a thin shim that
+reference loop accumulates — so they are folded once at compile time.
+Task logs are *lazy*: :class:`IterationProfile.engine` is a thin shim that
 materializes real :class:`.engine.Task` lists from the name table and the
 prefix arrays only when a consumer actually asks for channels (chrome
 traces, idle-time analysis); profile-only callers never pay for it.
 
-``simulate_batch`` prices many plans at once: per-plan duration columns
-are padded with trailing ``0.0`` (adding ``+0.0`` is exact, and the pads
-sit after every real event, so real prefixes are untouched) and stacked
-into a ``(plans, events)`` matrix, replacing N timeline folds with one
-``np.cumsum(axis=1)``.  Plans from the same graph share the compile-side
-skeleton (signature pricing, interning, segment detection) through the
-tape caches; only their routing/collective columns differ.
+``simulate_batch`` prices many plans on one mesh/config, one prefix-sum
+replay per plan.
+
+The compiled tape is cached on the :class:`RoutedPlan` per (mesh, config),
+so re-simulating the same plan (fig. 8/11–13 sweeps, the Alpa comparator's
+per-stage costing, pipeline composition) skips pricing entirely.
 """
 
 from __future__ import annotations
@@ -52,9 +61,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster import Mesh
-from ..core.cost import CostConfig
+from ..cluster import Mesh, collective_time
+from ..core.cost import CostConfig, CostModel
+from ..core.packing import pack_gradients
 from ..core.plan import RoutedPlan
+from .iteration import IterationProfile
 
 __all__ = [
     "CHANNEL_NAMES",
@@ -62,6 +73,7 @@ __all__ = [
     "ColumnarTape",
     "compile_columnar_tape",
     "columnar_tape_invariants",
+    "detect_segments",
     "simulate_columnar",
     "simulate_batch",
 ]
@@ -75,7 +87,7 @@ GRAD_AXES: Tuple[str, ...] = ("dp", "all")
 
 @dataclass(frozen=True)
 class ColumnarTape:
-    """A replay tape flattened into struct-of-arrays columns.
+    """A priced iteration timeline as struct-of-arrays columns.
 
     The forward/backward timelines are one row per channel submission, in
     submission order (each node's collectives, then its compute).  All
@@ -114,7 +126,8 @@ class ColumnarTape:
     #: int32 ``(start, period, repeats)`` rows covering the signature
     #: sequence of ``routed.order`` (tandem repeats from detect_segments).
     seg_tab: np.ndarray
-    #: busy-time folds, precomputed in the replay loop's accumulation order.
+    #: busy-time folds, precomputed in the reference loop's accumulation
+    #: order.
     compute_busy: float
     comm_busy: float
     gradient_sync: float
@@ -127,61 +140,247 @@ class ColumnarTape:
 
 
 # ---------------------------------------------------------------------------
-# compilation: replay tape -> columns
+# shared caches (cheap, value-keyed, bounded)
 # ---------------------------------------------------------------------------
+
+#: (mesh, tp_degree) -> ({"tp": g, "dp": g, "all": g}, dp_degree)
+_GROUP_CACHE: Dict[Tuple, Tuple[Dict[str, object], int]] = {}
+_GROUP_CACHE_LIMIT = 256
+
+#: (sizes tuple, PackingConfig) -> tuple of Buckets
+_PACK_CACHE: Dict[Tuple, Tuple] = {}
+_PACK_CACHE_LIMIT = 4096
+
+
+def _groups_for(mesh: Mesh, cfg: CostConfig, tp_degree: int):
+    key = (mesh, tp_degree)
+    got = _GROUP_CACHE.get(key)
+    if got is None:
+        cm = CostModel(mesh, cfg)
+        tp_group, dp_group, all_group = cm.groups(tp_degree)
+        got = (
+            {"tp": tp_group, "dp": dp_group, "all": all_group},
+            cm.dp_degree(tp_degree),
+        )
+        if len(_GROUP_CACHE) >= _GROUP_CACHE_LIMIT:
+            _GROUP_CACHE.pop(next(iter(_GROUP_CACHE)))
+        _GROUP_CACHE[key] = got
+    return got
+
+
+def _packed(sizes: Tuple[int, ...], packing) -> Tuple:
+    """``pack_gradients`` memoised on stream content (as evaluate.py does)."""
+    key = (sizes, packing)
+    got = _PACK_CACHE.get(key)
+    if got is None:
+        got = tuple(pack_gradients(list(sizes), packing))
+        if len(_PACK_CACHE) >= _PACK_CACHE_LIMIT:
+            _PACK_CACHE.pop(next(iter(_PACK_CACHE)))
+        _PACK_CACHE[key] = got
+    return got
+
+
+# ---------------------------------------------------------------------------
+# segment detection
+# ---------------------------------------------------------------------------
+
+def detect_segments(
+    ids: Sequence[int], max_period: int = 128
+) -> List[Tuple[int, int, int]]:
+    """Cover *ids* with maximal tandem repeats: ``(start, period, repeats)``.
+
+    Greedy left-to-right scan: at each position the longest-covering run
+    ``block * repeats`` with period up to *max_period* wins (smallest
+    period on ties, so ``AAAA`` reports period 1, not 2); stretches with no
+    repeat collapse into a single ``(start, span, 1)`` segment.  These are
+    the layer stacks of ``routed.order`` — the same repeated structure
+    Algorithm 1's pruning exploits, one level down.
+    """
+    n = len(ids)
+    segments: List[Tuple[int, int, int]] = []
+    uniq_start = 0
+    i = 0
+    while i < n:
+        best_period = 0
+        best_repeats = 0
+        best_cover = 0
+        limit = min(max_period, (n - i) // 2)
+        for period in range(1, limit + 1):
+            # cheap O(1) guard before the slice comparison
+            if ids[i] != ids[i + period]:
+                continue
+            if ids[i : i + period] != ids[i + period : i + 2 * period]:
+                continue
+            repeats = 2
+            while (
+                i + (repeats + 1) * period <= n
+                and ids[i + repeats * period : i + (repeats + 1) * period]
+                == ids[i : i + period]
+            ):
+                repeats += 1
+            cover = repeats * period
+            if cover > best_cover:
+                best_cover = cover
+                best_period = period
+                best_repeats = repeats
+        if best_cover:
+            if uniq_start < i:
+                segments.append((uniq_start, i - uniq_start, 1))
+            segments.append((i, best_period, best_repeats))
+            i += best_cover
+            uniq_start = i
+        else:
+            i += 1
+    if uniq_start < n:
+        segments.append((uniq_start, n - uniq_start, 1))
+    return segments
+
+
+# ---------------------------------------------------------------------------
+# compilation: routed plan -> priced columns, in one pass
+# ---------------------------------------------------------------------------
+
+def _event_nbytes(ev, tokens: int, cache: Dict) -> int:
+    # keyed on the structural spec (shape + dtype, not the tensor's name):
+    # nbytes depends on nothing else
+    key = (ev.spec.shape, ev.spec.dtype, ev.scales_with_batch)
+    nb = cache.get(key)
+    if nb is None:
+        nb = ev.nbytes(tokens)
+        cache[key] = nb
+    return nb
+
 
 def _fold(values: Sequence[float]) -> float:
     """Left-to-right float sum — ``np.cumsum`` is sequential accumulation,
-    so its last element equals the replay loop's ``acc += x`` chain."""
+    so its last element equals the reference loop's ``acc += x`` chain."""
     if len(values) == 0:
         return 0.0
     return float(np.cumsum(np.asarray(values, dtype=np.float64))[-1])
 
 
-def _flatten(
-    routed: RoutedPlan, fwd_tape, bwd_tape, bucket_plan, stats, sig_ids
-) -> ColumnarTape:
+def _compile(routed: RoutedPlan, mesh: Mesh, cfg: CostConfig, rec) -> ColumnarTape:
+    """Price every distinct node signature once and emit the tape columns.
+
+    Each signature's *program* is its per-phase event list — task-name
+    prefixes, durations and channel codes, collectives first and the
+    compute last — plus its overlappable ``(axis, nbytes)`` gradient
+    packets.  The forward columns are the programs appended in
+    ``routed.order``; the backward columns the same in reverse, recording
+    for every gradient packet the backward compute event that produces
+    it.  Task names are interned in submission order: forward events,
+    backward events, then per axis the bucket and weight-gather names.
+    """
+    groups, dp = _groups_for(mesh, cfg, routed.tp_degree)
+    tokens = max(cfg.batch_tokens // dp, 1)
+    eff = mesh.effective_flops
+    base_factor = cfg.backward_flops_factor
+    use_eff = cfg.use_efficiency
+
+    price_cache: Dict[Tuple, float] = {}
+    nbytes_cache: Dict[Tuple, int] = {}
+
+    def price(collective: str, nbytes: int, axis: str) -> float:
+        key = (collective, nbytes, axis)
+        secs = price_cache.get(key)
+        if secs is None:
+            secs = collective_time(
+                collective, nbytes, groups[axis], use_efficiency=use_eff
+            )
+            price_cache[key] = secs
+        return secs
+
     intern: Dict[str, int] = {}
-    names: List[str] = []
+    nid = intern.setdefault  # nid(name, len(intern)) -> interned id
 
-    def nid(name: str) -> int:
-        got = intern.get(name)
-        if got is None:
-            got = len(names)
-            intern[name] = got
-            names.append(name)
-        return got
-
+    sig_table: Dict[Tuple, int] = {}
+    progs: List[Tuple] = []
+    sig_ids: List[int] = []
     f_dur: List[float] = []
     f_ch: List[int] = []
     f_nm: List[int] = []
-    for comms, task_name, secs in fwd_tape:
-        for cname, csecs in comms:
-            f_dur.append(csecs)
-            f_ch.append(1)
-            f_nm.append(nid(cname))
-        f_dur.append(secs)
-        f_ch.append(0)
-        f_nm.append(nid(task_name))
+
+    for name in routed.order:
+        shard = routed.shards[name]
+        rec_node = rec is not None and name in rec.recompute_nodes
+        sig = (
+            shard.pattern,
+            shard.flops,
+            shard.compute_share,
+            rec_node,
+            tuple([
+                # spec identity is structural (shape + dtype); the tensor
+                # *name* differs per layer instance but never affects timing
+                (ev.phase, ev.collective, ev.axis, ev.overlappable,
+                 ev.spec.shape, ev.spec.dtype, ev.scales_with_batch)
+                for ev in shard.events
+            ]),
+        )
+        sid = sig_table.get(sig)
+        if sid is None:
+            sid = len(progs)
+            sig_table[sig] = sid
+            fwd_pre: List[str] = []
+            fwd_dur: List[float] = []
+            bwd_pre: List[str] = []
+            bwd_dur: List[float] = []
+            grads: List[Tuple[str, int]] = []
+            for ev in shard.events:
+                nbytes = _event_nbytes(ev, tokens, nbytes_cache)
+                if ev.phase == "backward" and ev.overlappable:
+                    grads.append((ev.axis, nbytes))
+                    continue
+                secs = price(ev.collective, nbytes, ev.axis)
+                if ev.phase == "forward":
+                    fwd_pre.append(f"fwd:{ev.collective}@")
+                    fwd_dur.append(secs)
+                else:
+                    bwd_pre.append(f"bwd:{ev.collective}@")
+                    bwd_dur.append(secs)
+            # same association order as the reference loop's expressions
+            t_fwd = shard.flops * tokens * shard.compute_share / eff
+            bwd_factor = base_factor + 1.0 if rec_node else base_factor
+            t_bwd = bwd_factor * shard.flops * tokens * shard.compute_share / eff
+            fwd_prog = (
+                tuple(fwd_pre) + ("fwd:",),
+                tuple(fwd_dur) + (t_fwd,),
+                (1,) * len(fwd_dur) + (0,),
+            )
+            bwd_prog = (
+                tuple(bwd_pre) + ("bwd:",),
+                tuple(bwd_dur) + (t_bwd,),
+                (1,) * len(bwd_dur) + (0,),
+                tuple(grads),
+            )
+            progs.append((fwd_prog, bwd_prog))
+        sig_ids.append(sid)
+        prefixes, durs, chs = progs[sid][0]
+        f_dur.extend(durs)
+        f_ch.extend(chs)
+        f_nm.extend([nid(p + name, len(intern)) for p in prefixes])
 
     b_dur: List[float] = []
     b_ch: List[int] = []
     b_nm: List[int] = []
     grad_src: Dict[str, List[int]] = {axis: [] for axis in GRAD_AXES}
-    for comms, task_name, secs, grads in bwd_tape:
-        for cname, csecs in comms:
-            b_dur.append(csecs)
-            b_ch.append(1)
-            b_nm.append(nid(cname))
-        b_dur.append(secs)
-        b_ch.append(0)
-        b_nm.append(nid(task_name))
+    stream: Dict[str, List[int]] = {axis: [] for axis in GRAD_AXES}
+    for name, sid in zip(reversed(routed.order), reversed(sig_ids)):
+        prefixes, durs, chs, grads = progs[sid][1]
+        b_dur.extend(durs)
+        b_ch.extend(chs)
+        b_nm.extend([nid(p + name, len(intern)) for p in prefixes])
         if grads:
             src = len(b_dur) - 1
-            for axis, _nb in grads:
+            for axis, nbytes in grads:
                 grad_src[axis].append(src)
+                stream[axis].append(nbytes)
 
+    # Pack the gradient streams: packet sizes are static per tape, only
+    # their ready times depend on the timeline.  Under the ZeRO axis the
+    # reduction is a reduce-scatter and each bucket also prices its
+    # post-step weight all-gather.
     zero_on = routed.plan.zero_stage >= 1
+    grad_collective = "reduce_scatter" if zero_on else "all_reduce"
     bucket_axes: List[str] = []
     bucket_lo_tab: Dict[str, np.ndarray] = {}
     bucket_secs_tab: Dict[str, np.ndarray] = {}
@@ -190,26 +389,33 @@ def _flatten(
     gather_name_tab: Dict[str, np.ndarray] = {}
     bucket_secs_all: List[float] = []
     gather_secs_all: List[float] = []
-    num_buckets = 0
-    for axis, rows in bucket_plan:
+    for axis in GRAD_AXES:
+        sizes = stream[axis]
+        if not sizes:
+            continue
+        buckets = _packed(tuple(sizes), cfg.packing)
+        los: List[int] = []
+        lo = 0
+        for bucket in buckets:
+            los.append(lo)
+            lo += bucket.num_tensors
+        secs = [price(grad_collective, b.nbytes, axis) for b in buckets]
         bucket_axes.append(axis)
-        bucket_lo_tab[axis] = np.asarray([r[0] for r in rows], dtype=np.int32)
-        secs_list = [r[3] for r in rows]
-        bucket_secs_tab[axis] = np.asarray(secs_list, dtype=np.float64)
-        bucket_name_tab[axis] = np.asarray(
-            [nid(r[2]) for r in rows], dtype=np.int32
-        )
-        bucket_secs_all.extend(secs_list)
-        num_buckets += len(rows)
+        bucket_lo_tab[axis] = np.asarray(los, dtype=np.int32)
+        bucket_secs_tab[axis] = np.asarray(secs, dtype=np.float64)
+        grad_id = nid("grad:" + axis, len(intern))
+        bucket_name_tab[axis] = np.full(len(buckets), grad_id, dtype=np.int32)
+        bucket_secs_all.extend(secs)
         if zero_on:
-            # one weight all-gather per bucket; the name is interned only
-            # when ZeRO is on so zero-off tapes stay byte-identical
-            gather_list = [r[4] for r in rows]
-            gather_secs_tab[axis] = np.asarray(gather_list, dtype=np.float64)
-            gather_name_tab[axis] = np.asarray(
-                [nid("wgather:" + axis)] * len(rows), dtype=np.int32
+            # the name is interned only when ZeRO is on, so zero-off name
+            # tables carry no gather entry
+            gathers = [price("all_gather", b.nbytes, axis) for b in buckets]
+            gather_secs_tab[axis] = np.asarray(gathers, dtype=np.float64)
+            gather_id = nid("wgather:" + axis, len(intern))
+            gather_name_tab[axis] = np.full(
+                len(buckets), gather_id, dtype=np.int32
             )
-            gather_secs_all.extend(gather_list)
+            gather_secs_all.extend(gathers)
         else:
             gather_secs_tab[axis] = np.empty(0, dtype=np.float64)
             gather_name_tab[axis] = np.empty(0, dtype=np.int32)
@@ -218,16 +424,12 @@ def _flatten(
     fwd_ch_col = np.asarray(f_ch, dtype=np.int8)
     bwd_dur_col = np.asarray(b_dur, dtype=np.float64)
     bwd_ch_col = np.asarray(b_ch, dtype=np.int8)
-
     fwd_comm_idx = np.flatnonzero(fwd_ch_col == 1)
     bwd_comm_idx = np.flatnonzero(bwd_ch_col == 1)
 
-    from .iteration import detect_segments
+    segments = detect_segments(sig_ids)
 
-    seg_tab = np.asarray(detect_segments(sig_ids), dtype=np.int32).reshape(-1, 3)
-    segments_detected, nodes_replayed = stats
-
-    # Busy sums replicate the replay loop's fold order exactly: forward
+    # Busy sums replicate the reference loop's fold order exactly: forward
     # comms, backward comms, bucket rows, then weight gathers on the comm
     # channel; forward then backward computes on the compute channel.
     comm_busy = _fold(
@@ -248,10 +450,9 @@ def _flatten(
             )
         )
     )
-    gradient_sync = _fold(bucket_secs_all)
 
     return ColumnarTape(
-        names=tuple(names),
+        names=tuple(intern),
         fwd_dur_col=fwd_dur_col,
         fwd_ch_col=fwd_ch_col,
         fwd_name_col=np.asarray(f_nm, dtype=np.int32),
@@ -270,15 +471,15 @@ def _flatten(
         bucket_name_tab=bucket_name_tab,
         gather_secs_tab=gather_secs_tab,
         gather_name_tab=gather_name_tab,
-        seg_tab=seg_tab,
+        seg_tab=np.asarray(segments, dtype=np.int32).reshape(-1, 3),
         compute_busy=compute_busy,
         comm_busy=comm_busy,
-        gradient_sync=gradient_sync,
+        gradient_sync=_fold(bucket_secs_all),
         weight_gather=_fold(gather_secs_all),
-        num_buckets=num_buckets,
+        num_buckets=len(bucket_secs_all),
         nodes=len(routed.order),
-        segments_detected=segments_detected,
-        nodes_replayed=nodes_replayed,
+        segments_detected=sum(1 for _, _, reps in segments if reps > 1),
+        nodes_replayed=sum(period * (reps - 1) for _, period, reps in segments),
     )
 
 
@@ -292,15 +493,12 @@ def compile_columnar_tape(
 ) -> ColumnarTape:
     """Compile (or fetch from the plan's cache) the columnar tape.
 
-    Policy-free tapes are cached on the plan under ``("columnar", mesh,
-    cfg)``, alongside — never replacing — the replay tier's quadruple; a
-    fresh compile also populates the replay entry, since the priced tape
-    is a byproduct.  ``check=True`` runs :func:`columnar_tape_invariants`
-    on every fresh compile and raises on inconsistency (the CLI's
-    ``--no-verify`` maps to ``check=False``).
+    Recompute policies carry mutable node sets, so only policy-free tapes
+    are cached on the plan, under ``("columnar", mesh, cfg)``; policy
+    runs recompile (still signature-priced).  ``check=True`` runs
+    :func:`columnar_tape_invariants` on every fresh compile and raises on
+    inconsistency (the CLI's ``--no-verify`` maps to ``check=False``).
     """
-    from .iteration import _compile_tape, _groups_for
-
     cfg = config if config is not None else CostConfig()
     rec = recompute if (recompute is not None and recompute.enabled) else None
     cache_key = ("columnar", mesh, cfg) if rec is None else None
@@ -309,16 +507,7 @@ def compile_columnar_tape(
         if cached is not None:
             return cached
 
-    groups, dp = _groups_for(mesh, cfg, routed.tp_degree)
-    fwd_tape, bwd_tape, bucket_plan, stats, sig_ids = _compile_tape(
-        routed, mesh, cfg, rec, groups, dp
-    )
-    if rec is None:
-        # the replay tier's cache entry is this tape minus the sig_ids
-        routed._sim_cache.setdefault(
-            (mesh, cfg), (fwd_tape, bwd_tape, bucket_plan, stats)
-        )
-    tape = _flatten(routed, fwd_tape, bwd_tape, bucket_plan, stats, sig_ids)
+    tape = _compile(routed, mesh, cfg, rec)
     if check:
         problems = columnar_tape_invariants(routed, tape)
         if problems:
@@ -473,99 +662,66 @@ def columnar_tape_invariants(routed: RoutedPlan, tape) -> List[str]:
 # replay: prefix sums over the columns
 # ---------------------------------------------------------------------------
 
-def _pack_rows(columns: Sequence[np.ndarray], width: int, lead: Optional[np.ndarray]):
-    """Stack variable-length duration columns into a zero-padded matrix.
-
-    Trailing ``+0.0`` pads keep every real prefix bit-identical; ``lead``
-    (the backward seeds) becomes column 0 so the fold starts from it.
-    """
-    offset = 1 if lead is not None else 0
-    mat = np.zeros((len(columns), width + offset), dtype=np.float64)
-    if lead is not None:
-        mat[:, 0] = lead
-    for i, dur in enumerate(columns):
-        mat[i, offset : offset + len(dur)] = dur
-    return mat
-
-
-def _profiles_from_tapes(tapes: Sequence[ColumnarTape]):
-    """Replay every tape with two batched prefix sums; one profile each."""
-    from .iteration import IterationProfile
-
-    fwd_width = max((len(t.fwd_dur_col) for t in tapes), default=0)
-    bwd_width = max((len(t.bwd_dur_col) for t in tapes), default=0)
-    fwd_mat = _pack_rows([t.fwd_dur_col for t in tapes], fwd_width, lead=None)
-    cum_fwd_mat = np.cumsum(fwd_mat, axis=1)
-    # trailing zeros leave the final prefix untouched, so column -1 *is*
-    # each plan's forward makespan (= final comp_free, by the invariant)
-    if fwd_width:
-        fwd_times = cum_fwd_mat[:, -1]
+def _profile_from_tape(tape: ColumnarTape) -> IterationProfile:
+    """Replay one tape with two prefix sums; its :class:`IterationProfile`."""
+    cum_fwd = np.cumsum(tape.fwd_dur_col)
+    # the last prefix *is* the forward makespan (= final comp_free, by
+    # the invariant); the backward fold starts from it as its seed slot
+    forward_time = float(cum_fwd[-1]) if len(cum_fwd) else 0.0
+    cum_bwd = np.cumsum(np.concatenate(([forward_time], tape.bwd_dur_col)))
+    comp_free = float(cum_bwd[-1])
+    if tape.bwd_last_comm >= 0:
+        comm_free = float(cum_bwd[tape.bwd_last_comm + 1])
     else:
-        fwd_times = np.zeros(len(tapes), dtype=np.float64)
-    bwd_mat = _pack_rows(
-        [t.bwd_dur_col for t in tapes], bwd_width, lead=fwd_times
+        comm_free = forward_time
+
+    # gradient tail: a genuine (max, +) recurrence over O(buckets) rows
+    bucket_starts: Dict[str, List[float]] = {}
+    for axis in tape.bucket_axes:
+        ends_col = cum_bwd[tape.grad_src[axis] + 1]
+        ready_chain = np.maximum.reduceat(
+            ends_col, tape.bucket_lo_tab[axis]
+        ).tolist()
+        secs_chain = tape.bucket_secs_tab[axis].tolist()
+        starts: List[float] = []
+        for ready, secs in zip(ready_chain, secs_chain):
+            start = comm_free if comm_free > ready else ready
+            comm_free = start + secs
+            starts.append(start)
+        bucket_starts[axis] = starts
+
+    # ZeRO weight all-gathers chain after the last reduction (same
+    # ordering as the reference loop: all buckets first, then gathers)
+    gather_starts: Dict[str, List[float]] = {}
+    for axis in tape.bucket_axes:
+        gather_chain = tape.gather_secs_tab[axis].tolist()
+        if not gather_chain:
+            continue
+        starts = []
+        for secs in gather_chain:
+            start = comm_free
+            comm_free = start + secs
+            starts.append(start)
+        gather_starts[axis] = starts
+
+    iteration_time = comp_free if comp_free > comm_free else comm_free
+    prof = IterationProfile()
+    prof.forward_time = forward_time
+    prof.iteration_time = iteration_time
+    prof.backward_time = iteration_time - forward_time
+    prof.compute_time = tape.compute_busy
+    prof.comm_time = tape.comm_busy
+    prof.exposed_comm_time = max(0.0, iteration_time - tape.compute_busy)
+    prof.gradient_sync_time = tape.gradient_sync
+    prof.weight_gather_time = tape.weight_gather
+    prof.num_gradient_buckets = tape.num_buckets
+    prof.segments_detected = tape.segments_detected
+    prof.nodes_replayed = tape.nodes_replayed
+    prof.engine = _LazyEngine(
+        tape, cum_fwd, cum_bwd, bucket_starts, gather_starts,
+        comp_free, comm_free, iteration_time,
     )
-    cum_bwd_mat = np.cumsum(bwd_mat, axis=1)
-
-    profiles = []
-    for i, tape in enumerate(tapes):
-        cum_fwd = cum_fwd_mat[i, : len(tape.fwd_dur_col)]
-        cum_bwd = cum_bwd_mat[i, : len(tape.bwd_dur_col) + 1]
-        forward_time = float(fwd_times[i])
-        comp_free = float(cum_bwd[-1])
-        if tape.bwd_last_comm >= 0:
-            comm_free = float(cum_bwd[tape.bwd_last_comm + 1])
-        else:
-            comm_free = forward_time
-
-        # gradient tail: a genuine (max, +) recurrence over O(buckets) rows
-        bucket_starts: Dict[str, List[float]] = {}
-        for axis in tape.bucket_axes:
-            ends_col = cum_bwd[tape.grad_src[axis] + 1]
-            ready_chain = np.maximum.reduceat(
-                ends_col, tape.bucket_lo_tab[axis]
-            ).tolist()
-            secs_chain = tape.bucket_secs_tab[axis].tolist()
-            starts: List[float] = []
-            for ready, secs in zip(ready_chain, secs_chain):
-                start = comm_free if comm_free > ready else ready
-                comm_free = start + secs
-                starts.append(start)
-            bucket_starts[axis] = starts
-
-        # ZeRO weight all-gathers chain after the last reduction (same
-        # ordering as the eager tiers: all buckets first, then gathers)
-        gather_starts: Dict[str, List[float]] = {}
-        for axis in tape.bucket_axes:
-            gather_chain = tape.gather_secs_tab[axis].tolist()
-            if not gather_chain:
-                continue
-            starts = []
-            for secs in gather_chain:
-                start = comm_free
-                comm_free = start + secs
-                starts.append(start)
-            gather_starts[axis] = starts
-
-        iteration_time = comp_free if comp_free > comm_free else comm_free
-        prof = IterationProfile()
-        prof.forward_time = forward_time
-        prof.iteration_time = iteration_time
-        prof.backward_time = iteration_time - forward_time
-        prof.compute_time = tape.compute_busy
-        prof.comm_time = tape.comm_busy
-        prof.exposed_comm_time = max(0.0, iteration_time - tape.compute_busy)
-        prof.gradient_sync_time = tape.gradient_sync
-        prof.weight_gather_time = tape.weight_gather
-        prof.num_gradient_buckets = tape.num_buckets
-        prof.segments_detected = tape.segments_detected
-        prof.nodes_replayed = tape.nodes_replayed
-        prof.engine = _LazyEngine(
-            tape, cum_fwd, cum_bwd, bucket_starts, gather_starts,
-            comp_free, comm_free, iteration_time,
-        )
-        profiles.append(prof)
-    return profiles
+    return prof
 
 
 class _LazyEngine:
@@ -573,10 +729,10 @@ class _LazyEngine:
     first access.
 
     Profile numbers come straight off the prefix arrays; the per-task
-    Python objects (the replay tier's dominant cost) are only built when a
-    consumer asks for ``channels`` / ``channel()`` — chrome-trace export,
-    idle-time analysis — and are then bit-identical to the eager tiers'
-    logs: same names, starts, durations, splice free times.
+    Python objects (an eager event loop's dominant cost) are only built
+    when a consumer asks for ``channels`` / ``channel()`` — chrome-trace
+    export, idle-time analysis — and are then bit-identical to the
+    reference loop's logs: same names, starts, durations, free times.
     """
 
     __slots__ = (
@@ -676,7 +832,7 @@ def simulate_columnar(
 ):
     """Columnar-tier equivalent of :func:`simulate_iteration` (one plan)."""
     tape = compile_columnar_tape(routed, mesh, config, recompute, check=check)
-    return _profiles_from_tapes([tape])[0]
+    return _profile_from_tape(tape)
 
 
 def simulate_batch(
@@ -687,18 +843,14 @@ def simulate_batch(
     *,
     check: bool = True,
 ):
-    """Simulate many plans on one mesh/config in a single batched replay.
+    """Simulate many plans on one mesh/config, one columnar replay each.
 
-    Each plan's tape compiles (or comes from its cache) independently;
-    the timelines then fold together as one zero-padded ``(plans,
-    events)`` cumsum per phase.  Returns one :class:`IterationProfile`
-    per plan, in order, each bit-identical to what the reference,
-    replay and single-plan columnar tiers produce for that plan.
+    Each plan's tape compiles (or comes from its cache) independently.
+    Returns one :class:`IterationProfile` per plan, in order, each
+    bit-identical to what the reference loop and :func:`simulate_columnar`
+    produce for that plan.
     """
-    if not routed_plans:
-        return []
-    tapes = [
-        compile_columnar_tape(r, mesh, config, recompute, check=check)
+    return [
+        simulate_columnar(r, mesh, config, recompute, check=check)
         for r in routed_plans
     ]
-    return _profiles_from_tapes(tapes)

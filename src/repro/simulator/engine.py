@@ -22,9 +22,9 @@ __all__ = ["Task", "Channel", "Engine"]
 class Task(NamedTuple):
     """One completed task occurrence on a channel.
 
-    A NamedTuple rather than a dataclass: the segment-replay simulator
-    creates tens of thousands of these per call and tuple construction is
-    several times cheaper than dataclass ``__init__``.
+    A NamedTuple rather than a dataclass: materializing a columnar task
+    log creates tens of thousands of these per call and tuple
+    construction is several times cheaper than dataclass ``__init__``.
     """
 
     name: str
@@ -55,7 +55,7 @@ class Channel:
         return task
 
     def splice(self, tasks: Sequence[Task], free_at: Optional[float] = None) -> None:
-        """Install a batch of pre-timed tasks (the segment-replay path).
+        """Install a batch of pre-timed tasks (the columnar tier's logs).
 
         The tasks carry their own start times — they were timed by an
         external executor that mirrors :meth:`submit`'s arithmetic — so the

@@ -16,79 +16,37 @@ compute channel and a communication channel:
 The exposed communication time, bubble sizes and phase breakdown come out
 of the channel logs, not from closed-form ``min``/``max`` bounds.
 
-Three implementations produce that timeline (``engine=`` selects one):
+Two implementations produce that timeline (``engine=`` selects one, with
+the same tier names as the search's ``ENGINE_TIERS``):
 
-* ``engine="reference"`` — the original event loop: every node of every
-  layer instance re-prices its collectives and re-submits its tasks one
-  by one.
-* ``engine="columnar"`` (:mod:`.columnar`) — the priced tape flattened
-  into numpy struct-of-arrays and replayed as prefix sums; the batched
-  what-if entry point ``simulate_batch`` lives there too.
-* the default **segment-replay** path — the same observation Algorithm 1
-  applies to the search, applied to the simulator.  Nodes are grouped by
-  structural signature (pattern, flops, compute share, event list — the
-  shared-subgraph families), each signature is priced *once* (collective
-  pricing cached per (collective, nbytes, group); gradient packing
-  memoised on stream content), repeated runs of signatures in
-  ``routed.order`` are detected as segments (:func:`detect_segments`), and
-  the compiled tape is then replayed per instance.  The replay executes the
-  *exact* arithmetic chain of :meth:`Channel.submit` — ``start =
-  max(free, ready)``, ``end = start + duration`` — rather than adding a
-  constant offset to a recorded timeline, because IEEE-754 addition is not
-  associative and a naive time-shift would drift from the reference by
-  ulps.  The result is bit-exact: same :class:`IterationProfile` numbers,
-  same task names, starts and durations in the engine log.
+* ``engine="columnar"`` (the default, :mod:`.columnar`) — every distinct
+  node signature priced once, the timeline compiled into numpy columns
+  and folded as prefix sums; the many-plan entry point
+  ``simulate_batch`` lives there too.
+* ``engine="reference"`` — the event loop below, the oracle: every node
+  of every layer instance re-prices its collectives and submits its
+  tasks one by one.
 
-The compiled tape is cached on the :class:`RoutedPlan` per (mesh, config),
-so re-simulating the same plan (fig. 8/11–13 sweeps, the Alpa comparator's
-per-stage costing, pipeline composition) skips pricing entirely.
+Both are bit-exact: same :class:`IterationProfile` numbers, same task
+names, starts and durations in the engine log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..cluster import Mesh, collective_time
 from ..core.cost import CostConfig, CostModel
+from ..core.evaluate import normalize_engine
 from ..obs import metrics, trace
 from ..core.packing import pack_gradients
 from ..core.plan import RoutedPlan
 
 __all__ = [
     "IterationProfile",
-    "SIM_ENGINE_TIERS",
-    "normalize_sim_engine",
     "simulate_iteration",
-    "detect_segments",
-    "tape_invariants",
 ]
-
-#: The selectable simulation tiers, oracle first (mirrors the search's
-#: ``ENGINE_TIERS``): the original per-task event loop, the segment-replay
-#: event loop, and the prefix-sum columnar replay.  All three are
-#: bit-exact on profiles and task logs.
-SIM_ENGINE_TIERS = ("reference", "replay", "columnar")
-
-
-def normalize_sim_engine(engine=None, reference: bool = False) -> str:
-    """Map the ``engine=`` / legacy ``reference=`` knobs onto a tier name.
-
-    ``engine=None`` defers to the boolean (``reference=True`` → the
-    oracle loop, else the default replay tier); naming both and
-    disagreeing is an error, not a silent override.
-    """
-    if engine is None:
-        return "reference" if reference else "replay"
-    if engine not in SIM_ENGINE_TIERS:
-        raise ValueError(
-            f"engine must be None or one of {SIM_ENGINE_TIERS}, got {engine!r}"
-        )
-    if reference and engine != "reference":
-        raise ValueError(
-            f"reference=True conflicts with engine={engine!r}"
-        )
-    return engine
 
 
 @dataclass
@@ -104,7 +62,7 @@ class IterationProfile:
     gradient_sync_time: float = 0.0   # busy time of gradient buckets
     weight_gather_time: float = 0.0   # busy time of ZeRO weight all-gathers
     num_gradient_buckets: int = 0
-    #: replay diagnostics (zero on the reference path): how many repeated
+    #: tape diagnostics (zero on the reference path): how many repeated
     #: segments the tape compiler found and how many node instances were
     #: replayed from a previously-priced signature.
     segments_detected: int = 0
@@ -135,358 +93,6 @@ class IterationProfile:
 
 
 # ---------------------------------------------------------------------------
-# shared caches (cheap, value-keyed, bounded)
-# ---------------------------------------------------------------------------
-
-#: (mesh, tp_degree) -> ({"tp": g, "dp": g, "all": g}, dp_degree)
-_GROUP_CACHE: Dict[Tuple, Tuple[Dict[str, object], int]] = {}
-_GROUP_CACHE_LIMIT = 256
-
-#: (sizes tuple, PackingConfig) -> tuple of Buckets
-_PACK_CACHE: Dict[Tuple, Tuple] = {}
-_PACK_CACHE_LIMIT = 4096
-
-
-def _groups_for(mesh: Mesh, cfg: CostConfig, tp_degree: int):
-    key = (mesh, tp_degree)
-    got = _GROUP_CACHE.get(key)
-    if got is None:
-        cm = CostModel(mesh, cfg)
-        tp_group, dp_group, all_group = cm.groups(tp_degree)
-        got = (
-            {"tp": tp_group, "dp": dp_group, "all": all_group},
-            cm.dp_degree(tp_degree),
-        )
-        if len(_GROUP_CACHE) >= _GROUP_CACHE_LIMIT:
-            _GROUP_CACHE.pop(next(iter(_GROUP_CACHE)))
-        _GROUP_CACHE[key] = got
-    return got
-
-
-def _packed(sizes: Tuple[int, ...], packing) -> Tuple:
-    """``pack_gradients`` memoised on stream content (as evaluate.py does)."""
-    key = (sizes, packing)
-    got = _PACK_CACHE.get(key)
-    if got is None:
-        got = tuple(pack_gradients(list(sizes), packing))
-        if len(_PACK_CACHE) >= _PACK_CACHE_LIMIT:
-            _PACK_CACHE.pop(next(iter(_PACK_CACHE)))
-        _PACK_CACHE[key] = got
-    return got
-
-
-# ---------------------------------------------------------------------------
-# segment detection
-# ---------------------------------------------------------------------------
-
-def detect_segments(
-    ids: Sequence[int], max_period: int = 128
-) -> List[Tuple[int, int, int]]:
-    """Cover *ids* with maximal tandem repeats: ``(start, period, repeats)``.
-
-    Greedy left-to-right scan: at each position the longest-covering run
-    ``block * repeats`` with period up to *max_period* wins (smallest
-    period on ties, so ``AAAA`` reports period 1, not 2); stretches with no
-    repeat collapse into a single ``(start, span, 1)`` segment.  These are
-    the layer stacks of ``routed.order`` — the same repeated structure
-    Algorithm 1's pruning exploits, one level down.
-    """
-    n = len(ids)
-    segments: List[Tuple[int, int, int]] = []
-    uniq_start = 0
-    i = 0
-    while i < n:
-        best_period = 0
-        best_repeats = 0
-        best_cover = 0
-        limit = min(max_period, (n - i) // 2)
-        for period in range(1, limit + 1):
-            # cheap O(1) guard before the slice comparison
-            if ids[i] != ids[i + period]:
-                continue
-            if ids[i : i + period] != ids[i + period : i + 2 * period]:
-                continue
-            repeats = 2
-            while (
-                i + (repeats + 1) * period <= n
-                and ids[i + repeats * period : i + (repeats + 1) * period]
-                == ids[i : i + period]
-            ):
-                repeats += 1
-            cover = repeats * period
-            if cover > best_cover:
-                best_cover = cover
-                best_period = period
-                best_repeats = repeats
-        if best_cover:
-            if uniq_start < i:
-                segments.append((uniq_start, i - uniq_start, 1))
-            segments.append((i, best_period, best_repeats))
-            i += best_cover
-            uniq_start = i
-        else:
-            i += 1
-    if uniq_start < n:
-        segments.append((uniq_start, n - uniq_start, 1))
-    return segments
-
-
-# ---------------------------------------------------------------------------
-# tape compilation (once per plan x mesh x config)
-# ---------------------------------------------------------------------------
-
-def _event_nbytes(ev, tokens: int, cache: Dict) -> int:
-    # keyed on the structural spec (shape + dtype, not the tensor's name):
-    # nbytes depends on nothing else
-    key = (ev.spec.shape, ev.spec.dtype, ev.scales_with_batch)
-    nb = cache.get(key)
-    if nb is None:
-        nb = ev.nbytes(tokens)
-        cache[key] = nb
-    return nb
-
-
-def _compile_tape(routed: RoutedPlan, mesh: Mesh, cfg: CostConfig, rec, groups, dp):
-    """Price every distinct node signature once and lay out the replay tape.
-
-    Returns ``(fwd_tape, bwd_tape, bucket_plan, stats, sig_ids)``:
-
-    * ``fwd_tape[i]`` — per node in ``routed.order``: ``(fwd_comm,
-      task_name, seconds)`` with ``fwd_comm`` a tuple of pre-named,
-      pre-priced ``(task_name, seconds)`` collectives;
-    * ``bwd_tape`` — per node in backward (reverse) order: ``(bwd_comm,
-      task_name, seconds, grads)`` where ``grads`` holds the overlappable
-      ``(axis, nbytes)`` gradient packets;
-    * ``bucket_plan`` — per axis, pre-packed gradient buckets as
-      ``(lo, hi, task_name, sync_seconds, gather_seconds)`` member slices
-      into the packet stream; ``sync_seconds`` prices the reduction
-      (all-reduce, or reduce-scatter under ``plan.zero_stage >= 1``) and
-      ``gather_seconds`` the post-step weight all-gather (0.0 when the
-      ZeRO axis is off);
-    * ``stats`` — ``(segments_detected, nodes_replayed)`` from
-      :func:`detect_segments` over the signature sequence;
-    * ``sig_ids`` — the per-node signature id sequence itself (the
-      columnar tier's segment tables are built from it).
-
-    Only the first four elements are cached on the plan (the replay
-    quadruple); ``sig_ids`` is a compile byproduct.
-    """
-    tokens = max(cfg.batch_tokens // dp, 1)
-    eff = mesh.effective_flops
-    base_factor = cfg.backward_flops_factor
-    use_eff = cfg.use_efficiency
-
-    price_cache: Dict[Tuple, float] = {}
-    nbytes_cache: Dict[Tuple, int] = {}
-
-    def price(collective: str, nbytes: int, axis: str) -> float:
-        key = (collective, nbytes, axis)
-        secs = price_cache.get(key)
-        if secs is None:
-            secs = collective_time(
-                collective, nbytes, groups[axis], use_efficiency=use_eff
-            )
-            price_cache[key] = secs
-        return secs
-
-    sig_table: Dict[Tuple, int] = {}
-    progs: List[Tuple] = []
-    sig_ids: List[int] = []
-    fwd_tape: List[Tuple] = []
-    bwd_tape: List[Tuple] = []
-
-    for name in routed.order:
-        shard = routed.shards[name]
-        rec_node = rec is not None and name in rec.recompute_nodes
-        sig = (
-            shard.pattern,
-            shard.flops,
-            shard.compute_share,
-            rec_node,
-            tuple(
-                # spec identity is structural (shape + dtype); the tensor
-                # *name* differs per layer instance but never affects timing
-                (ev.phase, ev.collective, ev.axis, ev.overlappable,
-                 ev.spec.shape, ev.spec.dtype, ev.scales_with_batch)
-                for ev in shard.events
-            ),
-        )
-        sid = sig_table.get(sig)
-        if sid is None:
-            sid = len(progs)
-            sig_table[sig] = sid
-            fwd: List[Tuple[str, float]] = []
-            bwd: List[Tuple[str, float]] = []
-            grads: List[Tuple[str, int]] = []
-            for ev in shard.events:
-                if ev.phase == "backward" and ev.overlappable:
-                    grads.append((ev.axis, _event_nbytes(ev, tokens, nbytes_cache)))
-                    continue
-                secs = price(
-                    ev.collective, _event_nbytes(ev, tokens, nbytes_cache), ev.axis
-                )
-                if ev.phase == "forward":
-                    fwd.append((f"fwd:{ev.collective}@", secs))
-                else:
-                    bwd.append((f"bwd:{ev.collective}@", secs))
-            # same association order as the reference loop's expressions
-            t_fwd = shard.flops * tokens * shard.compute_share / eff
-            bwd_factor = base_factor + 1.0 if rec_node else base_factor
-            t_bwd = bwd_factor * shard.flops * tokens * shard.compute_share / eff
-            progs.append((tuple(fwd), t_fwd, tuple(bwd), t_bwd, tuple(grads)))
-        sig_ids.append(sid)
-        fwd, t_fwd, bwd, t_bwd, grads = progs[sid]
-        fwd_tape.append(
-            (
-                tuple((prefix + name, secs) for prefix, secs in fwd),
-                "fwd:" + name,
-                t_fwd,
-            )
-        )
-        bwd_tape.append(
-            (
-                tuple((prefix + name, secs) for prefix, secs in bwd),
-                "bwd:" + name,
-                t_bwd,
-                grads,
-            )
-        )
-
-    bwd_tape.reverse()
-
-    # Pre-pack the gradient streams: packet sizes are static per tape, only
-    # their ready times depend on the replayed timeline.
-    stream: Dict[str, List[int]] = {"dp": [], "all": []}
-    for entry in bwd_tape:
-        for axis, nbytes in entry[3]:
-            stream[axis].append(nbytes)
-    zero = routed.plan.zero_stage
-    grad_collective = "reduce_scatter" if zero >= 1 else "all_reduce"
-    bucket_plan: List[Tuple[str, List[Tuple[int, int, str, float, float]]]] = []
-    for axis in ("dp", "all"):
-        sizes = stream[axis]
-        if not sizes:
-            continue
-        rows: List[Tuple[int, int, str, float, float]] = []
-        lo = 0
-        for bucket in _packed(tuple(sizes), cfg.packing):
-            hi = lo + bucket.num_tensors
-            rows.append(
-                (
-                    lo,
-                    hi,
-                    "grad:" + axis,
-                    price(grad_collective, bucket.nbytes, axis),
-                    price("all_gather", bucket.nbytes, axis) if zero >= 1 else 0.0,
-                )
-            )
-            lo = hi
-        bucket_plan.append((axis, rows))
-
-    segments = detect_segments(sig_ids)
-    segments_detected = sum(1 for _, _, reps in segments if reps > 1)
-    nodes_replayed = sum(period * (reps - 1) for _, period, reps in segments)
-    return fwd_tape, bwd_tape, bucket_plan, (segments_detected, nodes_replayed), sig_ids
-
-
-# ---------------------------------------------------------------------------
-# tape invariants (consumed by repro.verify's sim/tape rule)
-# ---------------------------------------------------------------------------
-
-def tape_invariants(routed: RoutedPlan, compiled) -> List[str]:
-    """Structural invariants a compiled replay tape must satisfy.
-
-    Returns human-readable problem strings (empty = consistent).  The
-    checks are pure shape/name arithmetic — no pricing, no replay — so a
-    verifier can vet every cached tape in ``routed._sim_cache`` cheaply:
-
-    * one forward and one backward entry per node of ``routed.order``,
-      with backward entries in exact reverse order;
-    * no negative duration anywhere (compute, collectives, buckets,
-      weight gathers);
-    * bucket rows per axis are contiguous, start at 0, and cover exactly
-      the gradient packets the backward tape emits on that axis;
-    * weight-gather durations are exactly 0.0 when the plan's ZeRO axis
-      is off (``plan.zero_stage == 0``).
-    """
-    problems: List[str] = []
-    try:
-        fwd_tape, bwd_tape, bucket_plan, _stats = compiled
-    except (TypeError, ValueError):
-        return ["tape is not a (fwd, bwd, buckets, stats) quadruple"]
-    n = len(routed.order)
-    if len(fwd_tape) != n:
-        problems.append(f"forward tape has {len(fwd_tape)} entries for {n} nodes")
-    if len(bwd_tape) != n:
-        problems.append(f"backward tape has {len(bwd_tape)} entries for {n} nodes")
-
-    grad_counts = {"dp": 0, "all": 0}
-    for i, entry in enumerate(bwd_tape):
-        comms, task_name, secs, grads = entry
-        if i < n and task_name != "bwd:" + routed.order[n - 1 - i]:
-            problems.append(
-                f"backward tape entry {i} is {task_name!r}, expected "
-                f"{'bwd:' + routed.order[n - 1 - i]!r} (reverse order)"
-            )
-        if secs < 0:
-            problems.append(f"negative backward compute duration at {task_name!r}")
-        for _cname, csecs in comms:
-            if csecs < 0:
-                problems.append(f"negative collective duration under {task_name!r}")
-        for axis, nbytes in grads:
-            if axis not in grad_counts:
-                problems.append(f"unknown gradient axis {axis!r} at {task_name!r}")
-            elif nbytes < 0:
-                problems.append(f"negative gradient bytes at {task_name!r}")
-            else:
-                grad_counts[axis] += 1
-    for i, entry in enumerate(fwd_tape):
-        comms, task_name, secs = entry
-        if i < n and task_name != "fwd:" + routed.order[i]:
-            problems.append(
-                f"forward tape entry {i} is {task_name!r}, expected "
-                f"{'fwd:' + routed.order[i]!r}"
-            )
-        if secs < 0:
-            problems.append(f"negative forward compute duration at {task_name!r}")
-        for _cname, csecs in comms:
-            if csecs < 0:
-                problems.append(f"negative collective duration under {task_name!r}")
-
-    covered = {"dp": 0, "all": 0}
-    for axis, rows in bucket_plan:
-        if axis not in grad_counts:
-            problems.append(f"bucket plan names unknown axis {axis!r}")
-            continue
-        expect_lo = 0
-        for lo, hi, task_name, secs, gather_secs in rows:
-            if lo != expect_lo or hi <= lo:
-                problems.append(
-                    f"bucket rows on axis {axis!r} are not contiguous "
-                    f"([{lo}, {hi}) after {expect_lo})"
-                )
-            if secs < 0:
-                problems.append(f"negative bucket duration at {task_name!r}")
-            if gather_secs < 0:
-                problems.append(
-                    f"negative weight-gather duration at {task_name!r}"
-                )
-            if routed.plan.zero_stage == 0 and gather_secs != 0.0:
-                problems.append(
-                    f"weight-gather priced at {task_name!r} with ZeRO off"
-                )
-            expect_lo = hi
-        covered[axis] = expect_lo
-    for axis, count in grad_counts.items():
-        if covered.get(axis, 0) != count:
-            problems.append(
-                f"bucket rows on axis {axis!r} cover {covered.get(axis, 0)} "
-                f"packets; the tape emits {count}"
-            )
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # public entry point
 # ---------------------------------------------------------------------------
 
@@ -496,46 +102,35 @@ def simulate_iteration(
     config: Optional[CostConfig] = None,
     recompute=None,
     *,
-    reference: bool = False,
-    engine=None,
+    engine: str = "columnar",
     verify: bool = True,
 ) -> IterationProfile:
-    """Replay one iteration of *routed* on *mesh* at event granularity.
+    """Simulate one iteration of *routed* on *mesh* at event granularity.
 
     ``recompute`` is an optional :class:`repro.passes.RecomputePolicy`;
     nodes it marks re-run their forward computation during backward
     (gradient checkpointing's time cost).
 
-    ``engine`` selects the simulation tier (see
-    :func:`normalize_sim_engine`): ``"reference"`` is the original
-    per-task event loop, ``"replay"`` (the default) the segment-replay
-    fast path, ``"columnar"`` the prefix-sum array replay.  All tiers are
-    bit-exact — same profile, same task log — so the slower ones exist as
-    escape hatch / oracle for the property tests, mirroring
-    ``derive_plan(engine=...)``.  ``reference=True`` remains as the
-    pre-tier spelling of ``engine="reference"``.
+    ``engine`` selects the simulation tier, mirroring
+    ``derive_plan(engine=...)``: ``"columnar"`` (the default) the
+    prefix-sum fast path, ``"reference"`` the per-task event loop it is
+    checked against.  Both produce the same profile and task log.
 
-    ``verify`` only affects the columnar tier: freshly compiled columnar
-    tapes run their structural invariants (the ``sim/tape-columnar``
-    rule) before first use; pass ``False`` to skip (CLI ``--no-verify``).
+    ``verify`` only affects the columnar tier: freshly compiled tapes run
+    their structural invariants (the ``sim/tape-columnar`` rule) before
+    first use; pass ``False`` to skip (CLI ``--no-verify``).
     """
     cfg = config or CostConfig()
-    tier = normalize_sim_engine(engine, reference)
+    tier = normalize_engine(engine)
     with trace.span(
-        "simulate",
-        nodes=len(routed.order),
-        tp=routed.tp_degree,
-        reference=tier == "reference",
-        engine=tier,
+        "simulate", nodes=len(routed.order), tp=routed.tp_degree, engine=tier
     ):
         if tier == "reference":
             prof = _simulate_reference(routed, mesh, cfg, recompute)
-        elif tier == "columnar":
+        else:
             from .columnar import simulate_columnar
 
             prof = simulate_columnar(routed, mesh, cfg, recompute, check=verify)
-        else:
-            prof = _simulate_replay(routed, mesh, cfg, recompute)
     if metrics.enabled():
         metrics.counter("sim.segments", prof.segments_detected)
         metrics.counter("sim.nodes_replayed", prof.nodes_replayed)
@@ -544,131 +139,10 @@ def simulate_iteration(
     return prof
 
 
-def _simulate_replay(
-    routed: RoutedPlan, mesh: Mesh, cfg: CostConfig, recompute
-) -> IterationProfile:
-    from .engine import Engine, Task
-
-    rec = recompute if (recompute is not None and recompute.enabled) else None
-    groups, dp = _groups_for(mesh, cfg, routed.tp_degree)
-
-    # Recompute policies carry mutable node sets, so only policy-free tapes
-    # are memoised on the plan; policy runs recompile (still segment-priced).
-    cache_key = (mesh, cfg) if rec is None else None
-    compiled = routed._sim_cache.get(cache_key) if cache_key is not None else None
-    if compiled is None:
-        compiled = _compile_tape(routed, mesh, cfg, rec, groups, dp)[:4]
-        if cache_key is not None:
-            routed._sim_cache[cache_key] = compiled
-    fwd_tape, bwd_tape, bucket_plan, (segments_detected, nodes_replayed) = compiled
-
-    comp_log: List[Task] = []
-    comm_log: List[Task] = []
-    ca = comp_log.append
-    ma = comm_log.append
-    # tuple.__new__ bypasses NamedTuple's python-level __new__ wrapper —
-    # task construction is the hot loop's dominant cost
-    new = tuple.__new__
-    T = Task
-    comp_free = 0.0
-    comm_free = 0.0
-    comp_busy = 0.0
-    comm_busy = 0.0
-
-    # ---- forward: the exact submit() arithmetic, minus the bookkeeping ----
-    for fwd_comm, fwd_name, t_fwd in fwd_tape:
-        ready = comp_free
-        if fwd_comm:
-            for task_name, secs in fwd_comm:
-                start = comm_free if comm_free > ready else ready
-                ma(new(T, (task_name, start, secs)))
-                comm_free = start + secs
-                comm_busy += secs
-                if comm_free > ready:
-                    ready = comm_free
-        ca(new(T, (fwd_name, ready, t_fwd)))
-        comp_free = ready + t_fwd
-        comp_busy += t_fwd
-    forward_time = comp_free if comp_free > comm_free else comm_free
-
-    # ---- backward: reverse tape; overlappable packets remember their end --
-    if forward_time > comp_free:
-        comp_free = forward_time
-    if forward_time > comm_free:
-        comm_free = forward_time
-    dp_ends: List[float] = []
-    all_ends: List[float] = []
-    for bwd_comm, bwd_name, t_bwd, grads in bwd_tape:
-        ready = comp_free
-        if bwd_comm:
-            for task_name, secs in bwd_comm:
-                start = comm_free if comm_free > ready else ready
-                ma(new(T, (task_name, start, secs)))
-                comm_free = start + secs
-                comm_busy += secs
-                if comm_free > ready:
-                    ready = comm_free
-        ca(new(T, (bwd_name, ready, t_bwd)))
-        comp_free = ready + t_bwd
-        comp_busy += t_bwd
-        if grads:
-            for axis, _nb in grads:
-                (dp_ends if axis == "dp" else all_ends).append(comp_free)
-
-    # ---- gradient buckets: pre-packed, fire on last member ----------------
-    gradient_sync_time = 0.0
-    num_buckets = 0
-    for axis, rows in bucket_plan:
-        ends = dp_ends if axis == "dp" else all_ends
-        num_buckets += len(rows)
-        for lo, hi, task_name, secs, _gather in rows:
-            ready = ends[lo] if hi - lo == 1 else max(ends[lo:hi])
-            start = comm_free if comm_free > ready else ready
-            ma(new(T, (task_name, start, secs)))
-            comm_free = start + secs
-            comm_busy += secs
-            gradient_sync_time += secs
-
-    # ---- ZeRO weight all-gathers: chain after the last reduction ----------
-    weight_gather_time = 0.0
-    if routed.plan.zero_stage >= 1:
-        for axis, rows in bucket_plan:
-            task_name = "wgather:" + axis
-            for _lo, _hi, _grad_name, _secs, gather in rows:
-                start = comm_free
-                ma(new(T, (task_name, start, gather)))
-                comm_free = start + gather
-                comm_busy += gather
-                weight_gather_time += gather
-
-    iteration_time = comp_free if comp_free > comm_free else comm_free
-
-    engine = Engine()
-    engine.channel("compute").splice(comp_log, free_at=comp_free)
-    engine.channel("comm").splice(comm_log, free_at=comm_free)
-
-    prof = IterationProfile()
-    prof.forward_time = forward_time
-    prof.iteration_time = iteration_time
-    prof.backward_time = iteration_time - forward_time
-    # busy sums were accumulated in log order — the same left-to-right float
-    # additions Channel.busy_time performs
-    prof.compute_time = comp_busy
-    prof.comm_time = comm_busy
-    prof.exposed_comm_time = max(0.0, iteration_time - prof.compute_time)
-    prof.gradient_sync_time = gradient_sync_time
-    prof.weight_gather_time = weight_gather_time
-    prof.num_gradient_buckets = num_buckets
-    prof.segments_detected = segments_detected
-    prof.nodes_replayed = nodes_replayed
-    prof.engine = engine
-    return prof
-
-
 def _simulate_reference(
     routed: RoutedPlan, mesh: Mesh, cfg: CostConfig, recompute
 ) -> IterationProfile:
-    """The original per-task event loop (the replay path's oracle)."""
+    """The original per-task event loop (the columnar tier's oracle)."""
     from .engine import Engine
 
     base_factor = cfg.backward_flops_factor

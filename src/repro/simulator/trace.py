@@ -70,7 +70,7 @@ def profile_to_chrome_trace(
 
     On top of the engine's channel timeline this adds what only the profile
     knows: forward/backward phase spans on their own thread, and the
-    step-level numbers (overlap efficiency, bucket count, replay
+    step-level numbers (overlap efficiency, bucket count, segment
     diagnostics) as counter args on the phase events — so a trace viewer
     shows the anatomy of the step, not just its tasks.
     """

@@ -29,7 +29,6 @@ Rule ids (see DESIGN.md "Static verification" for rationales):
 ``pack/coverage``        a gradient packed zero or multiple times
 ``pack/bucket-size``     a fused bucket exceeds the chunk cap
 ``pack/mismatch``        rewrite's buckets differ from a fresh packing
-``sim/tape``             a cached replay tape is inconsistent with the plan
 ``sim/tape-columnar``    a cached columnar tape's flat arrays are corrupt
 ``rewrite/missing-collective`` a priced conversion edge has no comm op
 ``rewrite/orphan-comm``  a comm op no conversion or pattern accounts for
@@ -85,7 +84,6 @@ ALL_RULES: Dict[str, str] = {
     "pack/coverage": "a gradient packed twice is synced twice (wrong update)",
     "pack/bucket-size": "fused buckets above the chunk cap stall the update pipeline",
     "pack/mismatch": "rewrite's buckets must equal a fresh packing of the plan's stream",
-    "sim/tape": "a cached tape inconsistent with the plan would replay a stale timeline",
     "sim/tape-columnar": "corrupt flat columns (lengths, ids, segment closure) would vectorize a wrong timeline",
     "rewrite/missing-collective": "a priced conversion edge without its comm op computes garbage",
     "rewrite/orphan-comm": "a comm op nothing priced means cost and graph disagree",
@@ -613,24 +611,12 @@ def _grad_stream(routed: RoutedPlan) -> List[int]:
 def _check_tapes(routed: RoutedPlan, report: VerificationReport) -> None:
     if not routed._sim_cache:
         return
-    from ..simulator.columnar import ColumnarTape, columnar_tape_invariants
-    from ..simulator.iteration import tape_invariants
+    from ..simulator.columnar import columnar_tape_invariants
 
-    for cache_key, compiled in routed._sim_cache.items():
-        # The cache holds two entry shapes: the replay quadruple under
-        # (mesh, cfg) and a ColumnarTape under ("columnar", mesh, cfg) —
-        # dispatch on the value, not the key, so a mis-filed entry still
-        # gets checked (and fails loudly) rather than unpacking wrong.
-        if isinstance(compiled, ColumnarTape):
-            rule, problems = (
-                "sim/tape-columnar",
-                columnar_tape_invariants(routed, compiled),
-            )
-        else:
-            rule, problems = "sim/tape", tape_invariants(routed, compiled)
-        for problem in problems:
+    for cache_key, tape in routed._sim_cache.items():
+        for problem in columnar_tape_invariants(routed, tape):
             report.add(
-                rule,
+                "sim/tape-columnar",
                 problem,
                 where=f"cache key {cache_key!r}",
                 hint="drop the cached tape (clear _sim_cache) and re-simulate",

@@ -58,13 +58,13 @@ class TestRequestAndKey:
         assert plan_key in sim_key
 
     def test_key_ignores_engine_but_not_plans(self):
-        # all tiers are bit-identical, so the tier must NOT fragment the
+        # both tiers are bit-identical, so the tier must NOT fragment the
         # cache; the plan set and tp degree must.
         k_col, _ = simulate_request_key(SIM_REQ)
-        k_rep, _ = simulate_request_key(
-            SimulateRequest(**dict(SIM_REQ.to_doc(), engine="replay"))
+        k_ref, _ = simulate_request_key(
+            SimulateRequest(**dict(SIM_REQ.to_doc(), engine="reference"))
         )
-        assert k_col == k_rep
+        assert k_col == k_ref
         k_other, _ = simulate_request_key(
             SimulateRequest(**dict(SIM_REQ.to_doc(), plans=("dp",)))
         )

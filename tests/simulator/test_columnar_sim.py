@@ -1,11 +1,12 @@
-"""Property tests: the columnar tier is bit-exact against both other tiers.
+"""Property tests: every columnar path is bit-exact against the reference.
 
-The columnar simulator's contract is the same as segment replay's, one
-tier up: *zero* observable difference from the reference event loop and
-from replay — identical :class:`IterationProfile` floats AND identical
-task logs, across the model zoo, meshes, plan families and recompute
-policies.  ``simulate_batch`` adds a second contract: pricing N plans in
-one padded cumsum must equal N independent single-plan simulations.
+The columnar simulator's contract is *zero* observable difference from
+the reference event loop — identical :class:`IterationProfile` floats AND
+identical task logs, across the model zoo, meshes, plan families and
+recompute policies — on each of its three paths: a cold compile, a tape
+served from the plan's cache, and ``simulate_batch``.  The batch adds a
+second contract: pricing N plans in one call must equal N independent
+single-plan simulations.
 """
 
 import dataclasses
@@ -18,12 +19,12 @@ from repro.cluster import paper_testbed
 from repro.core import CostConfig, DEFAULT_REGISTRY, derive_plan, route_plan
 from repro.core.api import what_if_profiles
 from repro.passes import select_recompute_scopes
+import repro.simulator.columnar as columnar
+from repro.core import ENGINE_TIERS
 from repro.simulator import (
-    SIM_ENGINE_TIERS,
     ColumnarTape,
     columnar_tape_invariants,
     compile_columnar_tape,
-    normalize_sim_engine,
     simulate_batch,
     simulate_iteration,
 )
@@ -32,25 +33,17 @@ from repro.verify import verify_routed
 from .test_replay import MESHES, SWEEP_MODELS, logs, nodes_for
 
 
-def three_tier(routed, mesh, cfg=None, recompute=None):
-    """Simulate cold on each tier (cache cleared between), reference first."""
-    profs = []
-    for tier in SIM_ENGINE_TIERS:
-        routed._sim_cache.clear()
-        profs.append(simulate_iteration(routed, mesh, cfg, recompute, engine=tier))
-    return profs
-
-
 def assert_three_tier_exact(routed, mesh, cfg=None, recompute=None):
-    ref, rep, col = three_tier(routed, mesh, cfg, recompute)
-    assert rep.as_dict() == ref.as_dict()
-    assert col.as_dict() == ref.as_dict()
-    assert logs(rep) == logs(ref)
-    assert logs(col) == logs(ref)
-    # warm columnar (tape from the plan cache) must match the cold run
+    """Reference vs. the columnar tier cold, warm and batched."""
+    ref = simulate_iteration(routed, mesh, cfg, recompute, engine="reference")
+    routed._sim_cache.clear()
+    cold = simulate_iteration(routed, mesh, cfg, recompute, engine="columnar")
+    # warm: the tape comes from the plan cache (policy runs recompile)
     warm = simulate_iteration(routed, mesh, cfg, recompute, engine="columnar")
-    assert warm.as_dict() == ref.as_dict()
-    assert logs(warm) == logs(ref)
+    (batched,) = simulate_batch([routed], mesh, cfg, recompute)
+    for prof in (cold, warm, batched):
+        assert prof.as_dict() == ref.as_dict()
+        assert logs(prof) == logs(ref)
 
 
 def megatron_routed(model, mesh):
@@ -60,6 +53,8 @@ def megatron_routed(model, mesh):
 
 
 class TestThreeTierParity:
+    """The reference loop against the columnar tier's three paths."""
+
     @pytest.mark.parametrize("model", SWEEP_MODELS)
     @pytest.mark.parametrize("mesh", MESHES, ids=("8w", "16w"))
     def test_zoo_bit_exact(self, model, mesh):
@@ -85,40 +80,71 @@ class TestThreeTierParity:
         _, routed = megatron_routed("bert_large", mesh)
         assert_three_tier_exact(routed, mesh, CostConfig(batch_tokens=1024))
 
-    def test_columnar_caches_tape_and_seeds_replay(self):
+    def test_columnar_caches_tape(self):
         mesh = paper_testbed(2, 8)
         _, routed = megatron_routed("t5_large", mesh)
         cfg = CostConfig()
         simulate_iteration(routed, mesh, cfg, engine="columnar")
-        assert ("columnar", mesh, cfg) in routed._sim_cache
-        # compiling the columnar tape is a superset of compiling the
-        # replay tape, so the replay entry is seeded as a byproduct
-        assert (mesh, cfg) in routed._sim_cache
+        # one cache entry per (mesh, config): the columnar tape, nothing else
+        assert list(routed._sim_cache) == [("columnar", mesh, cfg)]
+        assert isinstance(routed._sim_cache[("columnar", mesh, cfg)],
+                          ColumnarTape)
 
 
 class TestEngineNormalization:
-    def test_default_is_replay(self):
-        assert normalize_sim_engine(None) == "replay"
+    def test_default_is_columnar(self):
+        mesh = paper_testbed(1, 8)
+        _, routed = megatron_routed("bert_large", mesh)
+        prof = simulate_iteration(routed, mesh)
+        assert ("columnar", mesh, CostConfig()) in routed._sim_cache
+        assert prof.segments_detected >= 1  # zero on the reference loop
 
     def test_reference_flag(self):
-        assert normalize_sim_engine(None, reference=True) == "reference"
+        """The pre-tier ``reference=`` keyword is gone; ``engine=`` names
+        the oracle."""
+        mesh = paper_testbed(1, 8)
+        _, routed = megatron_routed("bert_large", mesh)
+        with pytest.raises(TypeError, match="reference"):
+            simulate_iteration(routed, mesh, reference=True)
+        prof = simulate_iteration(routed, mesh, engine="reference")
+        assert prof.segments_detected == 0
 
     def test_explicit_tiers_pass_through(self):
-        for tier in SIM_ENGINE_TIERS:
-            assert normalize_sim_engine(tier) == tier
-
-    def test_reference_flag_agrees_with_engine(self):
-        assert normalize_sim_engine("reference", reference=True) == "reference"
-
-    def test_conflict_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            normalize_sim_engine("columnar", reference=True)
+        mesh = paper_testbed(1, 8)
+        _, routed = megatron_routed("bert_large", mesh)
+        profs = [simulate_iteration(routed, mesh, engine=tier)
+                 for tier in ENGINE_TIERS]
+        assert ENGINE_TIERS == ("reference", "columnar")
+        assert profs[0].as_dict() == profs[1].as_dict()
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="must be None or one of"):
-            normalize_sim_engine("warp-speed")
-        with pytest.raises(ValueError):
-            normalize_sim_engine("")
+        mesh = paper_testbed(1, 8)
+        _, routed = megatron_routed("bert_large", mesh)
+        for tier in ("replay", "warp-speed", "", None):
+            with pytest.raises(ValueError, match="'reference', 'columnar'"):
+                simulate_iteration(routed, mesh, engine=tier)
+
+
+class TestCompileOnce:
+    def test_segments_detected_once_per_fresh_compile(self, monkeypatch):
+        calls = []
+        real = columnar.detect_segments
+
+        def spy(ids, *args, **kwargs):
+            calls.append(len(ids))
+            return real(ids, *args, **kwargs)
+
+        monkeypatch.setattr(columnar, "detect_segments", spy)
+        mesh = paper_testbed(2, 8)
+        _, routed = megatron_routed("t5_large", mesh)
+        tape = compile_columnar_tape(routed, mesh)
+        assert calls == [len(routed.order)]
+        assert tape.segments_detected >= 1
+        compile_columnar_tape(routed, mesh)  # cached: no second scan
+        assert len(calls) == 1
+        routed._sim_cache.clear()
+        simulate_iteration(routed, mesh)
+        assert len(calls) == 2
 
 
 class TestSimulateBatch:
@@ -143,7 +169,7 @@ class TestSimulateBatch:
 
     def test_mixed_models_pad_correctly(self):
         # plans from *different* graphs have very different event counts;
-        # padding one to the other's width must not perturb any prefix
+        # pricing them in one batch must not perturb any prefix
         mesh = paper_testbed(1, 8)
         routed_plans = []
         for model in ("t5_large", "resnet50", "clip_base"):
@@ -152,7 +178,7 @@ class TestSimulateBatch:
         batch = simulate_batch(routed_plans, mesh)
         for routed, prof in zip(routed_plans, batch):
             routed._sim_cache.clear()
-            ref = simulate_iteration(routed, mesh, reference=True)
+            ref = simulate_iteration(routed, mesh, engine="reference")
             assert prof.as_dict() == ref.as_dict()
             assert logs(prof) == logs(ref)
 
@@ -170,25 +196,26 @@ class TestSimulateBatch:
         for routed, prof in zip(routed_plans, batch):
             routed._sim_cache.clear()
             ref = simulate_iteration(
-                routed, mesh, recompute=policy, reference=True
+                routed, mesh, recompute=policy, engine="reference"
             )
             assert prof.as_dict() == ref.as_dict()
             assert logs(prof) == logs(ref)
 
 
 class TestWhatIfProfiles:
-    def test_columnar_equals_replay_surface(self):
+    def test_columnar_equals_reference_surface(self):
         mesh = paper_testbed(2, 8)
         ng = nodes_for("t5_large")
         tp = mesh.gpus_per_node
         plans = [NAMED_PLANS[label](ng, tp) for label in sorted(NAMED_PLANS)]
         col = what_if_profiles(ng, plans, mesh, engine="columnar")
-        rep = what_if_profiles(ng, plans, mesh, engine="replay")
-        assert len(col) == len(rep) == len(plans)
-        for c, r in zip(col, rep):
+        ref = what_if_profiles(ng, plans, mesh, engine="reference")
+        assert len(col) == len(ref) == len(plans)
+        for c, r in zip(col, ref):
             assert (c is None) == (r is None)
             if c is not None:
                 assert c[1].as_dict() == r[1].as_dict()
+                assert logs(c[1]) == logs(r[1])
 
     def test_unroutable_plan_gets_none_slot(self):
         from repro.core import ShardingPlan

@@ -1,10 +1,12 @@
-"""Property tests: segment replay is bit-exact against the reference loop.
+"""Property tests: the default columnar tier is bit-exact against the
+reference event loop.
 
-The segment-replay simulator's whole contract is *zero* observable
+The columnar simulator prices each node signature once and replays the
+timeline as prefix sums; its whole contract is *zero* observable
 difference from the reference event loop — not "close", the same floats.
-These tests sweep plans (derived, named, and randomly assigned), models
-across the zoo, meshes and recompute policies, and compare both the
-profile and the complete engine task log.
+These tests sweep plans (derived and randomly assigned), models across
+the zoo, meshes and recompute policies, and compare both the profile and
+the complete engine task log, cold and from the plan's tape cache.
 """
 
 import random
@@ -24,7 +26,7 @@ from repro.graph import trim_auxiliary
 from repro.models import MODEL_PRESETS, build_preset
 from repro.passes import select_recompute_scopes
 from repro.simulator import detect_segments, simulate_iteration
-from repro.simulator.iteration import _GROUP_CACHE, _PACK_CACHE
+from repro.simulator.columnar import _GROUP_CACHE, _PACK_CACHE
 
 #: the zoo slice the sweep runs on — every architecture family, kept to
 #: sizes that coarsen to a few hundred nodes at most
@@ -40,13 +42,13 @@ def nodes_for(name):
 
 
 def profile_pair(routed, mesh, cfg=None, recompute=None):
-    ref = simulate_iteration(routed, mesh, cfg, recompute, reference=True)
+    ref = simulate_iteration(routed, mesh, cfg, recompute, engine="reference")
     routed._sim_cache.clear()
-    rep = simulate_iteration(routed, mesh, cfg, recompute)
-    # once more through the plan's tape cache — the memoised replay must
+    col = simulate_iteration(routed, mesh, cfg, recompute)
+    # once more through the plan's tape cache — the memoised tape must
     # be as exact as the cold one
-    rep2 = simulate_iteration(routed, mesh, cfg, recompute)
-    return ref, rep, rep2
+    col2 = simulate_iteration(routed, mesh, cfg, recompute)
+    return ref, col, col2
 
 
 def logs(prof):
@@ -57,11 +59,11 @@ def logs(prof):
 
 
 def assert_bit_exact(routed, mesh, cfg=None, recompute=None):
-    ref, rep, rep2 = profile_pair(routed, mesh, cfg, recompute)
-    assert rep.as_dict() == ref.as_dict()
-    assert logs(rep) == logs(ref)
-    assert rep2.as_dict() == ref.as_dict()
-    assert logs(rep2) == logs(ref)
+    ref, col, col2 = profile_pair(routed, mesh, cfg, recompute)
+    assert col.as_dict() == ref.as_dict()
+    assert logs(col) == logs(ref)
+    assert col2.as_dict() == ref.as_dict()
+    assert logs(col2) == logs(ref)
 
 
 class TestDerivedPlans:

@@ -1,6 +1,6 @@
 """Edge cases for tandem-repeat segment detection."""
 
-from repro.simulator.iteration import detect_segments
+from repro.simulator import detect_segments
 
 
 def reconstruct(ids, segments):

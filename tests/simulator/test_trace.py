@@ -60,23 +60,24 @@ class TestTraceExport:
         assert any(n.startswith("grad:") for n in names)
 
 
-def t5_profile(reference=False):
+def t5_profile(engine="columnar"):
     g = build_t5(TransformerConfig(encoder_layers=2, decoder_layers=2,
                                    hidden=64, ffn_dim=128, num_heads=4,
                                    vocab=128))
     trimmed, _ = trim_auxiliary(g)
     ng = coarsen(trimmed)
     routed = route_plan(ng, ShardingPlan.of({}, 1), DEFAULT_REGISTRY)
-    return simulate_iteration(routed, paper_testbed(), reference=reference)
+    return simulate_iteration(routed, paper_testbed(), engine=engine)
 
 
 class TestReplayedLogTrace:
-    """Spliced (replayed) logs export identically to submitted ones."""
+    """Spliced (columnar-replayed) logs export identically to submitted
+    ones."""
 
     def test_replay_trace_matches_reference_trace(self):
-        ref = engine_to_chrome_trace(t5_profile(reference=True).engine)
-        rep = engine_to_chrome_trace(t5_profile(reference=False).engine)
-        assert rep == ref
+        ref = engine_to_chrome_trace(t5_profile(engine="reference").engine)
+        col = engine_to_chrome_trace(t5_profile(engine="columnar").engine)
+        assert col == ref
 
     def test_save_roundtrip_from_replay(self, tmp_path):
         prof = t5_profile()

